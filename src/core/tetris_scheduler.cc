@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -37,19 +38,25 @@ std::string_view simd_mode_name(SimdMode mode) {
 
 TetrisScheduler::TetrisScheduler(TetrisConfig config)
     : config_(std::move(config)) {
-  if (config_.fairness_knob < 0 || config_.fairness_knob >= 1.0)
+  // Each check states the legal range positively, so NaN — which fails
+  // every comparison — is rejected along with out-of-range values.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!(0 <= config_.fairness_knob && config_.fairness_knob < 1.0))
     throw std::invalid_argument("fairness_knob must be in [0, 1)");
-  if (config_.barrier_knob < 0 || config_.barrier_knob > 1.0)
+  if (!(0 <= config_.barrier_knob && config_.barrier_knob <= 1.0))
     throw std::invalid_argument("barrier_knob must be in [0, 1]");
-  if (config_.remote_penalty < 0 || config_.remote_penalty > 1.0)
+  if (!(0 <= config_.remote_penalty && config_.remote_penalty <= 1.0))
     throw std::invalid_argument("remote_penalty must be in [0, 1]");
-  if (config_.srtf_weight < 0)
-    throw std::invalid_argument("srtf_weight must be >= 0");
-  if (config_.starvation_threshold <= 0)
+  if (!(0 <= config_.srtf_weight && config_.srtf_weight < kInf))
+    throw std::invalid_argument("srtf_weight must be finite and >= 0");
+  if (!(0 < config_.slot_mem && config_.slot_mem < kInf))
+    throw std::invalid_argument("slot_mem must be finite and > 0");
+  // +inf is the documented "off".
+  if (!(0 < config_.starvation_threshold))
     throw std::invalid_argument("starvation_threshold must be > 0");
-  if (config_.future_lookahead < 0)
-    throw std::invalid_argument("future_lookahead must be >= 0");
-  if (config_.preemption_deficit <= 0 || config_.preemption_deficit > 1)
+  if (!(0 <= config_.future_lookahead && config_.future_lookahead < kInf))
+    throw std::invalid_argument("future_lookahead must be finite and >= 0");
+  if (!(0 < config_.preemption_deficit && config_.preemption_deficit <= 1))
     throw std::invalid_argument("preemption_deficit must be in (0, 1]");
   if (config_.num_threads < 0)
     throw std::invalid_argument("num_threads must be >= 0");

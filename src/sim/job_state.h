@@ -8,12 +8,44 @@
 #include <utility>
 #include <vector>
 
+#include "sim/candidate_index.h"
 #include "sim/placement.h"
+#include "sim/scheduler.h"
 #include "sim/spec.h"
 #include "util/resources.h"
 #include "util/units.h"
 
 namespace tetris::sim {
+
+// Multipliers from true to estimated demands and duration (§4.1
+// estimation model); identity unless the estimation mode perturbs them.
+struct EstFactors {
+  Resources demand = Resources::uniform(1.0);
+  double duration = 1.0;
+};
+
+// One machine's probe of a stage (DESIGN.md §8.3): a pure function of the
+// chosen candidate, the churn epoch (replica masks, uplink capacities)
+// and the estimation epoch, so it replays verbatim while all three
+// stamps match.
+struct ProbeSlot {
+  static constexpr int kEmpty = -2;
+  int candidate = kEmpty;  // task index probed; -1 = no viable candidate
+  std::uint64_t churn_version = 0;
+  std::uint64_t estimate_epoch = 0;
+  Probe probe;
+};
+
+// The stage's group estimate (est_demand / est_duration / est_task_work),
+// valid while its representative task and estimation epoch match.
+struct EstimateSlot {
+  static constexpr int kEmpty = -2;
+  int rep = kEmpty;  // StageState::first_runnable it was computed for
+  std::uint64_t estimate_epoch = 0;
+  Resources est_demand;
+  double est_duration = 0;
+  double est_task_work = 0;
+};
 
 enum class TaskStatus {
   kBlocked,   // upstream stage not finished
@@ -76,10 +108,20 @@ struct StageState {
   // Indices (into `tasks`) of the currently runnable tasks, so probes scan
   // runnable candidates directly instead of walking finished ones.
   std::vector<int> runnable_indices;
-  // Bumped on every runnable-set mutation (task arrival, start, requeue).
-  // Version stamp for the simulator's cross-pass probe and group-estimate
-  // memos (DESIGN.md §8): both depend on the runnable set and its order.
-  std::uint64_t runnable_version = 0;
+
+  // ---- scheduler-view state (DESIGN.md §8.3); untouched under
+  // naive_scheduler_view ----
+  // Best-locality candidate per machine over the first kMaxLocalityScan
+  // runnable_indices, and one probe slot per real machine. Both live
+  // while the runnable set is non-empty and are freed when it empties.
+  CandidateIndex locality;
+  std::vector<ProbeSlot> probe_slots;
+  // Smallest runnable task index (-1 when none): the group-estimate
+  // representative.
+  int first_runnable = -1;
+  EstimateSlot estimate;
+  // kNoisy estimation error, drawn at admission.
+  EstFactors noise;
   // (task index, runnable_since) in push order. Entries are appended with
   // non-decreasing timestamps and never erased eagerly; a query pops
   // stale fronts (task no longer runnable, or requeued since) and the

@@ -1,6 +1,8 @@
 #include "sim/placement.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 namespace tetris::sim {
@@ -72,36 +74,11 @@ void resolve_splits_into(const std::vector<InputSplit>& splits, MachineId host,
   }
 }
 
-}  // namespace
-
-std::vector<ResolvedSplit> resolve_splits(
-    const std::vector<InputSplit>& splits, MachineId host,
-    unsigned long long salt, const std::vector<char>* machine_up) {
-  std::vector<ResolvedSplit> out;
-  std::vector<MachineId> live;
-  resolve_splits_into(splits, host, salt, machine_up, out, live);
-  return out;
-}
-
-bool inputs_available(const TaskSpec& task,
-                      const std::vector<char>& machine_up) {
-  for (const auto& split : task.inputs) {
-    if (split.replicas.empty() || split.bytes <= 0) continue;
-    bool any_up = false;
-    for (MachineId m : split.replicas) {
-      if (is_up(&machine_up, m)) {
-        any_up = true;
-        break;
-      }
-    }
-    if (!any_up) return false;
-  }
-  return true;
-}
-
-PlacementDemand compute_placement(const TaskSpec& task, MachineId host,
-                                  const std::vector<ResolvedSplit>& splits) {
-  PlacementDemand pd;
+// Shared body of both compute_placement forms, writing into *out.
+void fill_placement(const TaskSpec& task, MachineId host,
+                    const std::vector<ResolvedSplit>& splits,
+                    PlacementDemand* out) {
+  PlacementDemand& pd = *out;
   pd.host = host;
 
   // Aggregate bytes per source machine. One call per probe miss: the
@@ -147,20 +124,81 @@ PlacementDemand compute_placement(const TaskSpec& task, MachineId host,
   pd.local[Resource::kDiskWrite] = task.output_bytes / duration;
   pd.local[Resource::kNetIn] = total_remote / duration;
   pd.local[Resource::kNetOut] = 0;
+  pd.remote.clear();
   pd.remote.reserve(remote_bytes.size());
   for (const auto& [m, b] : remote_bytes) {
     pd.remote.push_back({m, b / duration, b / duration});
   }
+}
+
+}  // namespace
+
+std::vector<ResolvedSplit> resolve_splits(
+    const std::vector<InputSplit>& splits, MachineId host,
+    unsigned long long salt, const std::vector<char>* machine_up) {
+  std::vector<ResolvedSplit> out;
+  std::vector<MachineId> live;
+  resolve_splits_into(splits, host, salt, machine_up, out, live);
+  return out;
+}
+
+bool placement_twins(const TaskSpec& a, const TaskSpec& b) {
+  const auto same = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  if (!same(a.cpu_cycles, b.cpu_cycles) || !same(a.peak_cores, b.peak_cores) ||
+      !same(a.peak_mem, b.peak_mem) || !same(a.output_bytes, b.output_bytes) ||
+      !same(a.max_io_bw, b.max_io_bw) || a.inputs.size() != b.inputs.size())
+    return false;
+  for (std::size_t i = 0; i < a.inputs.size(); ++i) {
+    const InputSplit& x = a.inputs[i];
+    const InputSplit& y = b.inputs[i];
+    if (!same(x.bytes, y.bytes) || x.from_stage != y.from_stage ||
+        x.replicas.size() > 1 || x.replicas != y.replicas)
+      return false;
+  }
+  return true;
+}
+
+bool inputs_available(const TaskSpec& task,
+                      const std::vector<char>& machine_up) {
+  for (const auto& split : task.inputs) {
+    if (split.replicas.empty() || split.bytes <= 0) continue;
+    bool any_up = false;
+    for (MachineId m : split.replicas) {
+      if (is_up(&machine_up, m)) {
+        any_up = true;
+        break;
+      }
+    }
+    if (!any_up) return false;
+  }
+  return true;
+}
+
+PlacementDemand compute_placement(const TaskSpec& task, MachineId host,
+                                  const std::vector<ResolvedSplit>& splits) {
+  PlacementDemand pd;
+  fill_placement(task, host, splits, &pd);
   return pd;
+}
+
+void compute_placement_into(const TaskSpec& task, MachineId host,
+                            unsigned long long salt,
+                            const std::vector<char>* machine_up,
+                            PlacementDemand* out) {
+  thread_local std::vector<ResolvedSplit> resolved;
+  thread_local std::vector<MachineId> live;
+  resolve_splits_into(task.inputs, host, salt, machine_up, resolved, live);
+  fill_placement(task, host, resolved, out);
 }
 
 PlacementDemand compute_placement(const TaskSpec& task, MachineId host,
                                   unsigned long long salt,
                                   const std::vector<char>* machine_up) {
-  thread_local std::vector<ResolvedSplit> resolved;
-  thread_local std::vector<MachineId> live;
-  resolve_splits_into(task.inputs, host, salt, machine_up, resolved, live);
-  return compute_placement(task, host, resolved);
+  PlacementDemand pd;
+  compute_placement_into(task, host, salt, machine_up, &pd);
+  return pd;
 }
 
 PlacementDemand compute_local_placement(const TaskSpec& task) {

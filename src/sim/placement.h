@@ -86,6 +86,20 @@ PlacementDemand compute_placement(const TaskSpec& task, MachineId host,
                                   unsigned long long salt,
                                   const std::vector<char>* machine_up = nullptr);
 
+// The same result written into *out, whose remote vector keeps its
+// capacity: the probe path's allocation-free form of the call above.
+void compute_placement_into(const TaskSpec& task, MachineId host,
+                            unsigned long long salt,
+                            const std::vector<char>* machine_up,
+                            PlacementDemand* out);
+
+// True when compute_placement() gives `a` and `b` bit-identical demands on
+// every host, whatever their salts and the churn mask: the specs are
+// bit-identical and each replicated split names a single machine, so no
+// replica pick is hashed. Tasks of a shuffle stage, materialized from one
+// set of upstream outputs, are typically twins.
+bool placement_twins(const TaskSpec& a, const TaskSpec& b);
+
 // True iff every replicated split still has a replica on an up machine.
 // Tasks whose data is entirely offline cannot run anywhere and must wait
 // for a recovery (the simulator keeps them runnable but never places

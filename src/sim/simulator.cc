@@ -7,7 +7,6 @@
 #include <deque>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <sstream>
 #include <stdexcept>
@@ -34,9 +33,6 @@ constexpr double kProgressEps = 1e-9;
 // Cap on distinct shuffle sources per downstream split; real shuffles read
 // from every map machine, but the heaviest sources dominate bandwidth.
 constexpr std::size_t kMaxShuffleSources = 8;
-// Cap on candidate tasks scanned per (group, machine) probe when hunting
-// for the best-locality task.
-constexpr std::size_t kMaxLocalityScan = 24;
 
 struct Event {
   enum class Type {
@@ -67,11 +63,6 @@ struct TaskLoc {
   JobId job;
   int stage;
   int index;
-};
-
-struct EstFactors {
-  Resources demand = Resources::uniform(1.0);
-  double duration = 1.0;
 };
 
 class Simulator;
@@ -140,8 +131,9 @@ class Simulator {
   // within the look-ahead window, subject to the resident ceilings.
   void pump_admissions();
   void admit_job(JobSpec&& spec);
-  // Folds a completed job into SimResult, drops its memo entries and its
-  // stage/task state, and pops the contiguous retired prefix.
+  // Folds a completed job into SimResult, drops its stage/task state
+  // (scheduler-view state included), and pops the contiguous retired
+  // prefix.
   void retire_job(JobState& job);
   void pop_retired_prefix();
 
@@ -233,8 +225,20 @@ class Simulator {
   // the job — when the combined mask admits no machine.
   bool finalize_admit_mask(JobState& job, int stage_index);
   void doom_job(JobState& job, int stage_index);
+  // Runnable-set upkeep, including the stage's locality index and probe
+  // slots (DESIGN.md §8.3) outside naive_scheduler_view.
   void add_runnable(StageState& stage, int task_index);
   void remove_runnable(StageState& stage, int task_index);
+  // Whether a runnable task may be a probe candidate: tasks whose every
+  // replica of some input is down cannot run anywhere until a recovery;
+  // they stay runnable but are not candidates.
+  bool candidate_viable(const TaskState& task) const {
+    return down_count_ == 0 || inputs_available(task.spec, machine_up_);
+  }
+  // A churn epoch changed viability: re-evaluate every live locality
+  // index (uplink capacities reach the probes through their slot stamps;
+  // the naive view has no index to revalidate).
+  void revalidate_localities();
 
   // Longest-waiting runnable task of `stage` via its wait FIFO (pops
   // stale fronts); exact equal of the naive scan over runnable_indices.
@@ -254,6 +258,20 @@ class Simulator {
   // modeling disabled).
   void add_rack_legs(MachineId host, PlacementDemand& pd) const;
   EstFactors est_factors(const JobState& job, int stage_index) const;
+  // Everything est_factors() reads that can change while a stage is
+  // resident, as one stamp for the stage's probe and estimate slots:
+  // nothing under kOracle and kNoisy (their factors are fixed at
+  // admission); under kLearnedProfile, the profiling epoch and whether
+  // the stage has finished enough tasks to be profiled itself.
+  std::uint64_t estimate_epoch(const StageState& stage) const {
+    if (config_.estimation.mode != EstimationMode::kLearnedProfile) return 0;
+    return profile_version_ * 2 +
+           (stage.finished >= config_.estimation.profile_after ? 1 : 0);
+  }
+  // The probe of candidate `task_index` on `machine`, whose local fraction
+  // is `local_frac`; reuses p's remote-leg buffer.
+  void build_probe(const JobState& job, int stage_index, int task_index,
+                   MachineId machine, double local_frac, Probe& p) const;
   // When `has_young` is non-null it is set to whether the machine hosts a
   // task still inside the ramp-up window — i.e. whether the kUsage view
   // of this machine is time-dependent and must be recomputed next pass
@@ -281,7 +299,6 @@ class Simulator {
   long jobs_base_ = 0;  // id of jobs_.front(); retired prefix popped
   std::deque<TaskLoc> locs_;
   long locs_base_ = 0;  // uid of locs_.front()
-  std::unordered_map<long, EstFactors> noise_factors_;  // key: job<<20|stage
   std::unordered_set<int> profiled_templates_;
 
   // ---- streaming state (DESIGN.md §11); inert in batch mode ----
@@ -330,58 +347,13 @@ class Simulator {
   std::vector<Resources> avail_cache_;
   std::vector<char> avail_dirty_;
   std::vector<char> ramping_;
-  // Probe memo across passes, keyed (job, stage, machine). An entry is
-  // valid while all four stamps match: the stage's runnable set, the
-  // churn epoch (machine_up_ and uplink capacities), the stage's finished
-  // count and the profiling epoch (both feed est_factors).
-  struct ProbeEntry {
-    std::uint64_t runnable_version = 0;
-    std::uint64_t churn_version = 0;
-    std::uint64_t profile_version = 0;
-    int finished = -1;
-    Probe probe;
-  };
-  mutable std::unordered_map<std::uint64_t, ProbeEntry> probe_memo_;
-  // Guards probe_memo_ and the probe_cache_* counters — the only shared
-  // state a probe() mutates — so the scheduler's column shards may probe
-  // concurrently (DESIGN.md §9). Shards own disjoint machines, hence
-  // disjoint memo keys; the lock only serializes the map structure, not
-  // the probe computation, which runs outside it.
-  mutable std::mutex probe_mu_;
-  // Per-stage locality table: local_fraction(candidate, m) for the first
-  // kMaxLocalityScan runnable candidates against every machine at once,
-  // built once per (runnable set, churn epoch) instead of a split-replica
-  // scan per (machine, candidate) probe miss. Values are bit-identical to
-  // local_fraction(): the per-machine byte accumulation walks the splits
-  // in the same order, so every double sum and the final division match
-  // exactly. Guarded by probe_mu_; once built, an entry is read-only
-  // until the stage's versions move, which never happens while shards
-  // are probing (placements commit at the wave barrier).
-  struct LocalityTable {
-    std::uint64_t runnable_version = 0;
-    std::uint64_t churn_version = 0;
-    int finished = -1;
-    std::size_t scan = 0;
-    std::vector<double> frac;           // candidate-major: [c*machines + m]
-    std::vector<unsigned char> viable;  // inputs_available() per candidate
-  };
-  mutable std::unordered_map<std::uint64_t, LocalityTable> loc_tables_;
-  void pick_local_candidate(const StageState& stage, std::uint64_t stage_key,
-                            MachineId machine, int* best,
-                            double* best_frac) const;
-  // Group-estimate memo (est_demand / est_duration / est_task_work per
-  // stage), same stamping minus the churn epoch (estimates are
-  // placement-independent). Serves runnable_groups(), imminent_groups()
-  // and the per-job remaining-work sums of active_jobs().
-  struct EstimateEntry {
-    std::uint64_t runnable_version = 0;
-    std::uint64_t profile_version = 0;
-    int finished = -1;
-    Resources est_demand;
-    double est_duration = 0;
-    double est_task_work = 0;
-  };
-  mutable std::unordered_map<long, EstimateEntry> est_memo_;
+  // Probes and group estimates are served from state each stage owns
+  // (StageState: locality index, probe slots, estimate slot; DESIGN.md
+  // §8.3). Probe hit/miss tallies are per real machine — column shards
+  // own disjoint machines, so concurrent probes never share a counter —
+  // and are summed into SimResult::perf by finalize().
+  std::vector<long> probe_hits_;
+  std::vector<long> probe_misses_;
   std::uint64_t churn_version_ = 0;
   std::uint64_t profile_version_ = 0;
   int runnable_total_ = 0;  // cluster-wide runnable tasks (pass backlog)
@@ -514,7 +486,7 @@ class Simulator::ContextImpl final : public SchedulerContext {
 
  private:
   // Representative estimated per-task demand for a stage (local view).
-  void fill_group_estimates(const JobState& job, int stage_index,
+  void fill_group_estimates(JobState& job, int stage_index,
                             GroupView& view) const;
 
   Simulator& sim_;
@@ -566,7 +538,7 @@ std::vector<GroupView> Simulator::ContextImpl::runnable_groups() const {
 
 std::vector<GroupView> Simulator::ContextImpl::imminent_groups() const {
   std::vector<GroupView> out;
-  for (const auto& job : sim_.jobs_) {
+  for (auto& job : sim_.jobs_) {
     if (!job.arrived || job.complete()) continue;
     for (int s = 0; s < static_cast<int>(job.stages.size()); ++s) {
       const StageState& stage = job.stages[static_cast<std::size_t>(s)];
@@ -607,22 +579,20 @@ std::vector<GroupView> Simulator::ContextImpl::imminent_groups() const {
   return out;
 }
 
-void Simulator::ContextImpl::fill_group_estimates(const JobState& job,
+void Simulator::ContextImpl::fill_group_estimates(JobState& job,
                                                   int stage_index,
                                                   GroupView& view) const {
-  const StageState& stage = job.stages[static_cast<std::size_t>(stage_index)];
+  StageState& stage = job.stages[static_cast<std::size_t>(stage_index)];
   const bool naive = sim_.config_.naive_scheduler_view;
-  const long key = (static_cast<long>(job.id) << 20) |
-                   static_cast<long>(stage_index);
   if (!naive) {
-    const auto it = sim_.est_memo_.find(key);
-    if (it != sim_.est_memo_.end() &&
-        it->second.runnable_version == stage.runnable_version &&
-        it->second.finished == stage.finished &&
-        it->second.profile_version == sim_.profile_version_) {
-      view.est_demand = it->second.est_demand;
-      view.est_duration = it->second.est_duration;
-      view.est_task_work = it->second.est_task_work;
+    // The estimate is a pure function of the representative task and the
+    // estimation inputs, so it replays while those stay put.
+    const EstimateSlot& e = stage.estimate;
+    if (e.rep == stage.first_runnable &&
+        e.estimate_epoch == sim_.estimate_epoch(stage)) {
+      view.est_demand = e.est_demand;
+      view.est_duration = e.est_duration;
+      view.est_task_work = e.est_task_work;
       sim_.perf_.estimate_cache_hits++;
       return;
     }
@@ -630,11 +600,15 @@ void Simulator::ContextImpl::fill_group_estimates(const JobState& job,
   // Representative: the first runnable task (tasks of a stage are
   // statistically similar, §4.1).
   const TaskState* rep = nullptr;
-  for (const auto& t : stage.tasks) {
-    if (t.status == TaskStatus::kRunnable) {
-      rep = &t;
-      break;
+  if (naive) {
+    for (const auto& t : stage.tasks) {
+      if (t.status == TaskStatus::kRunnable) {
+        rep = &t;
+        break;
+      }
     }
+  } else if (stage.first_runnable >= 0) {
+    rep = &stage.tasks[static_cast<std::size_t>(stage.first_runnable)];
   }
   if (rep == nullptr) rep = &stage.tasks.front();
   const PlacementDemand pd = compute_local_placement(rep->spec);
@@ -650,16 +624,15 @@ void Simulator::ContextImpl::fill_group_estimates(const JobState& job,
       view.est_demand.normalized_by(sim_.avg_capacity_).sum() *
       view.est_duration;
   if (!naive) {
-    sim_.est_memo_[key] = {stage.runnable_version, sim_.profile_version_,
-                           stage.finished, view.est_demand,
-                           view.est_duration, view.est_task_work};
+    stage.estimate = {stage.first_runnable, sim_.estimate_epoch(stage),
+                      view.est_demand, view.est_duration, view.est_task_work};
     sim_.perf_.estimate_cache_misses++;
   }
 }
 
 std::vector<JobView> Simulator::ContextImpl::active_jobs() const {
   std::vector<JobView> out;
-  for (const auto& job : sim_.jobs_) {
+  for (auto& job : sim_.jobs_) {
     if (!job.arrived || job.complete()) continue;
     JobView v;
     v.id = job.id;
@@ -709,52 +682,22 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
       !sim_.machine_is_up(machine))
     return;
   if (!sim_.has_job(group.job)) return;
-  const JobState& job = sim_.job_at(group.job);
+  JobState& job = sim_.job_at(group.job);
   if (group.stage < 0 || group.stage >= static_cast<int>(job.stages.size()))
     return;
-  const StageState& stage = job.stages[static_cast<std::size_t>(group.stage)];
+  StageState& stage = job.stages[static_cast<std::size_t>(group.stage)];
 
-  // Cross-pass memo: the probe is a pure function of the stage's runnable
-  // set (candidate scan order included), the churn epoch (replica masks
-  // and uplink capacities) and the estimation inputs — never of current
-  // availability. Between heartbeats most stages and machines are
-  // untouched, so most probes replay verbatim.
-  const bool naive = sim_.config_.naive_scheduler_view;
-  const std::uint64_t key = (static_cast<std::uint64_t>(
-                                 static_cast<std::uint32_t>(group.job))
-                             << 32) |
-                            (static_cast<std::uint64_t>(group.stage) << 16) |
-                            static_cast<std::uint64_t>(machine);
-  if (!naive) {
-    std::lock_guard<std::mutex> lock(sim_.probe_mu_);
-    const auto it = sim_.probe_memo_.find(key);
-    if (it != sim_.probe_memo_.end() &&
-        it->second.runnable_version == stage.runnable_version &&
-        it->second.churn_version == sim_.churn_version_ &&
-        it->second.profile_version == sim_.profile_version_ &&
-        it->second.finished == stage.finished) {
-      sim_.perf_.probe_cache_hits++;
-      p = it->second.probe;
-      return;
-    }
-  }
-
-  // Best-locality candidate among runnable tasks (bounded scan).
-  int best = -1;
-  double best_frac = -1;
-  if (naive) {
-    // The oracle recomputes from scratch — per-machine split scans, no
-    // shared table — preserving the baseline's cost profile.
+  if (sim_.config_.naive_scheduler_view) {
+    // The oracle recomputes from scratch: a bounded scan over the first
+    // runnable candidates, one split scan per (candidate, machine).
+    int best = -1;
+    double best_frac = -1;
     const std::size_t scan =
         std::min(stage.runnable_indices.size(), kMaxLocalityScan);
     for (std::size_t i = 0; i < scan; ++i) {
       const int idx = stage.runnable_indices[i];
       const TaskState& t = stage.tasks[static_cast<std::size_t>(idx)];
-      // Tasks whose every replica of some input is down cannot run
-      // anywhere until a recovery; they stay runnable but are not
-      // candidates.
-      if (sim_.down_count_ > 0 && !inputs_available(t.spec, sim_.machine_up_))
-        continue;
+      if (!sim_.candidate_viable(t)) continue;
       const double frac = local_fraction(t.spec, machine);
       if (frac > best_frac) {
         best_frac = frac;
@@ -762,135 +705,91 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
       }
       if (best_frac >= 1.0) break;
     }
-  } else {
-    // Fast path: the per-stage locality table, one build per runnable
-    // epoch amortized over every machine's miss (values bit-identical to
-    // the scan above). The stage key is the memo key minus the machine.
-    sim_.pick_local_candidate(stage, key & ~0xffffull, machine, &best,
-                              &best_frac);
-  }
-  const auto memoize = [&](const Probe& computed) {
-    if (naive) return;
-    std::lock_guard<std::mutex> lock(sim_.probe_mu_);
-    sim_.probe_memo_[key] = {stage.runnable_version, sim_.churn_version_,
-                             sim_.profile_version_, stage.finished, computed};
-    sim_.perf_.probe_cache_misses++;
-  };
-  if (best < 0) {
-    memoize(p);
+    if (best >= 0)
+      sim_.build_probe(job, group.stage, best, machine, best_frac, p);
     return;
   }
 
-  const TaskState& task = stage.tasks[static_cast<std::size_t>(best)];
-  PlacementDemand pd =
-      compute_placement(task.spec, machine,
-                        static_cast<unsigned long long>(task.uid),
-                        sim_.up_mask());
-  sim_.add_rack_legs(machine, pd);
-  const EstFactors f = sim_.est_factors(job, group.stage);
+  // The stage's own state answers: its locality index names the
+  // candidate, and this machine's slot replays the probe while the
+  // candidate and every other input of the probe are unchanged. Only
+  // this machine's slot and tally are written, so column shards probing
+  // disjoint machines share nothing mutable.
+  const auto m = static_cast<std::size_t>(machine);
+  if (stage.probe_slots.empty()) {  // no runnable task left
+    sim_.probe_misses_[m]++;
+    return;
+  }
+  const int pos = stage.locality.best(machine);
+  const int candidate =
+      pos < 0 ? -1 : stage.runnable_indices[static_cast<std::size_t>(pos)];
+  ProbeSlot& slot = stage.probe_slots[m];
+  if (slot.churn_version == sim_.churn_version_ &&
+      slot.estimate_epoch == sim_.estimate_epoch(stage) &&
+      (slot.candidate == candidate ||
+       (slot.candidate >= 0 && candidate >= 0 &&
+        placement_twins(
+            stage.tasks[static_cast<std::size_t>(slot.candidate)].spec,
+            stage.tasks[static_cast<std::size_t>(candidate)].spec)))) {
+    // A twin of the slot's candidate probes identically but for its index.
+    slot.candidate = candidate;
+    slot.probe.task_index = candidate;
+    sim_.probe_hits_[m]++;
+    p = slot.probe;
+    return;
+  }
+  sim_.probe_misses_[m]++;
+  if (candidate >= 0) {
+    sim_.build_probe(job, group.stage, candidate, machine,
+                     stage.locality.best_frac(machine), p);
+  }
+  slot.candidate = candidate;
+  slot.churn_version = sim_.churn_version_;
+  slot.estimate_epoch = sim_.estimate_epoch(stage);
+  slot.probe = p;
+}
+
+void Simulator::build_probe(const JobState& job, int stage_index,
+                            int task_index, MachineId machine,
+                            double local_frac, Probe& p) const {
+  const TaskState& task = job.stages[static_cast<std::size_t>(stage_index)]
+                              .tasks[static_cast<std::size_t>(task_index)];
+  // The true legs are computed straight into the probe's own buffer and
+  // turned into estimates in place.
+  PlacementDemand pd;
+  pd.remote.swap(p.remote);
+  compute_placement_into(task.spec, machine,
+                         static_cast<unsigned long long>(task.uid), up_mask(),
+                         &pd);
+  add_rack_legs(machine, pd);
+  const EstFactors f = est_factors(job, stage_index);
 
   p.valid = true;
-  p.task_index = best;
+  p.task_index = task_index;
   p.demand = pd.local;
   for (std::size_t i = 0; i < kNumResources; ++i)
     p.demand.at(i) *= f.demand.at(i);
   // An over-estimate must never exceed the whole machine, or the task
   // could become permanently unplaceable.
   p.demand = p.demand.cwise_min(
-      sim_.machines_[static_cast<std::size_t>(machine)].capacity());
-  p.remote.reserve(pd.remote.size());
-  for (const auto& leg : pd.remote) {
-    RemoteLeg est{leg.machine, leg.disk_read * f.demand[Resource::kDiskRead],
-                  leg.net_out * f.demand[Resource::kNetOut],
-                  leg.net_in * f.demand[Resource::kNetIn]};
+      machines_[static_cast<std::size_t>(machine)].capacity());
+  for (auto& leg : pd.remote) {
     // As with the local clamp above: a demand beyond the path's capacity
     // (e.g. an oversubscribed rack uplink) would make the task permanently
     // unplaceable; it is admitted at full path rate and just runs slower.
     const Resources& leg_cap =
-        sim_.machines_[static_cast<std::size_t>(leg.machine)].capacity();
-    est.disk_read = std::min(est.disk_read, leg_cap[Resource::kDiskRead]);
-    est.net_out = std::min(est.net_out, leg_cap[Resource::kNetOut]);
-    est.net_in = std::min(est.net_in, leg_cap[Resource::kNetIn]);
-    p.remote.push_back(est);
+        machines_[static_cast<std::size_t>(leg.machine)].capacity();
+    leg.disk_read = std::min(leg.disk_read * f.demand[Resource::kDiskRead],
+                             leg_cap[Resource::kDiskRead]);
+    leg.net_out = std::min(leg.net_out * f.demand[Resource::kNetOut],
+                           leg_cap[Resource::kNetOut]);
+    leg.net_in = std::min(leg.net_in * f.demand[Resource::kNetIn],
+                          leg_cap[Resource::kNetIn]);
   }
+  p.remote.swap(pd.remote);
   p.duration = pd.duration * f.duration;
-  p.local_fraction = best_frac;
-  p.task_work =
-      p.demand.normalized_by(sim_.avg_capacity_).sum() * p.duration;
-  memoize(p);
-}
-
-void Simulator::pick_local_candidate(const StageState& stage,
-                                     std::uint64_t stage_key,
-                                     MachineId machine, int* best,
-                                     double* best_frac) const {
-  std::lock_guard<std::mutex> lock(probe_mu_);
-  LocalityTable& t = loc_tables_[stage_key];
-  if (t.runnable_version != stage.runnable_version ||
-      t.churn_version != churn_version_ || t.finished != stage.finished) {
-    const std::size_t scan =
-        std::min(stage.runnable_indices.size(), kMaxLocalityScan);
-    const auto machines = static_cast<std::size_t>(num_real_machines_);
-    t.scan = scan;
-    t.frac.assign(scan * machines, 0.0);
-    t.viable.assign(scan, 1);
-    for (std::size_t c = 0; c < scan; ++c) {
-      const TaskState& task =
-          stage.tasks[static_cast<std::size_t>(stage.runnable_indices[c])];
-      // Tasks whose every replica of some input is down cannot run
-      // anywhere until a recovery; they stay runnable but are not
-      // candidates. machine_up_ only changes with churn_version_, so the
-      // cached flag stays exact.
-      if (down_count_ > 0 && !inputs_available(task.spec, machine_up_)) {
-        t.viable[c] = 0;
-        continue;
-      }
-      // Accumulate each machine's local bytes split-major — the exact
-      // addition order local_fraction() uses per machine — then divide.
-      double* local = t.frac.data() + c * machines;
-      double total = 0;
-      for (const auto& split : task.spec.inputs) {
-        if (split.bytes <= 0) continue;
-        total += split.bytes;
-        if (split.replicas.empty()) {
-          // Generated input: local everywhere, costing no remote read.
-          for (std::size_t m = 0; m < machines; ++m) local[m] += split.bytes;
-          continue;
-        }
-        for (auto it = split.replicas.begin(); it != split.replicas.end();
-             ++it) {
-          // First occurrence only: local_fraction() counts a split once
-          // per machine however many times a replica repeats.
-          if (std::find(split.replicas.begin(), it, *it) != it) continue;
-          if (*it >= 0 && *it < static_cast<MachineId>(machines))
-            local[static_cast<std::size_t>(*it)] += split.bytes;
-        }
-      }
-      if (total > 0) {
-        for (std::size_t m = 0; m < machines; ++m) local[m] /= total;
-      } else {
-        for (std::size_t m = 0; m < machines; ++m) local[m] = 1.0;
-      }
-    }
-    t.runnable_version = stage.runnable_version;
-    t.churn_version = churn_version_;
-    t.finished = stage.finished;
-  }
-  // Same argmax as the per-machine scan: first strict improvement wins,
-  // early out once fully local.
-  *best = -1;
-  *best_frac = -1;
-  const auto machines = static_cast<std::size_t>(num_real_machines_);
-  for (std::size_t c = 0; c < t.scan; ++c) {
-    if (!t.viable[c]) continue;
-    const double frac =
-        t.frac[c * machines + static_cast<std::size_t>(machine)];
-    if (frac > *best_frac) {
-      *best_frac = frac;
-      *best = stage.runnable_indices[c];
-    }
-    if (*best_frac >= 1.0) break;
-  }
+  p.local_fraction = local_frac;
+  p.task_work = p.demand.normalized_by(avg_capacity_).sum() * p.duration;
 }
 
 bool Simulator::ContextImpl::place(const Probe& probe) {
@@ -1041,6 +940,13 @@ void Simulator::init_cluster() {
       (config_.machines_per_rack > 0 && config_.rack_oversubscription <= 0)) {
     throw std::invalid_argument("bad rack topology configuration");
   }
+  // Heartbeats re-arm at now + period: a zero, negative or NaN period
+  // would stall virtual time, and with it max_time, forever.
+  if (!(config_.heartbeat_period > 0 &&
+        config_.heartbeat_period < std::numeric_limits<double>::infinity())) {
+    throw std::invalid_argument(
+        "SimConfig: heartbeat_period must be finite and > 0");
+  }
   if (config_.churn.mttf < 0 || config_.churn.mttr < 0 ||
       (config_.churn.mttf > 0 && config_.churn.mttr <= 0)) {
     throw std::invalid_argument(
@@ -1107,6 +1013,8 @@ void Simulator::init_cluster() {
 
   alloc_est_.assign(machines_.size(), Resources{});
   hosted_count_.assign(machines_.size(), 0);
+  probe_hits_.assign(static_cast<std::size_t>(num_real_machines_), 0);
+  probe_misses_.assign(static_cast<std::size_t>(num_real_machines_), 0);
   dirty_flags_.assign(machines_.size(), 0);
   avail_cache_.assign(machines_.size(), Resources{});
   avail_dirty_.assign(machines_.size(), 1);  // first pass computes all
@@ -1214,8 +1122,7 @@ JobState& Simulator::append_job(const JobSpec& spec) {
       }
       f.duration =
           noise_rng_.lognormal_mean_cov(1.0, config_.estimation.noise_cov);
-      noise_factors_[(static_cast<long>(job.id) << 20) |
-                     static_cast<long>(s)] = f;
+      job.stages[s].noise = f;
     }
   }
 
@@ -1317,30 +1224,14 @@ void Simulator::retire_job(JobState& job) {
   }
   last_finish_ = std::max(last_finish_, job.finish);
 
-  // Drop every memo entry keyed by this job; none can be consulted again
-  // (complete jobs emit no groups), so erasure cannot change a decision.
-  for (int s = 0; s < static_cast<int>(job.stages.size()); ++s) {
-    const long gkey =
-        (static_cast<long>(job.id) << 20) | static_cast<long>(s);
-    est_memo_.erase(gkey);
-    noise_factors_.erase(gkey);
-    const std::uint64_t pbase =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(job.id))
-         << 32) |
-        (static_cast<std::uint64_t>(s) << 16);
-    for (std::size_t m = 0; m < machines_.size(); ++m) {
-      probe_memo_.erase(pbase | static_cast<std::uint64_t>(m));
-    }
-    loc_tables_.erase(pbase);
-  }
-
   resident_jobs_--;
   resident_tasks_ -= job.total_tasks;
   perf_.jobs_retired++;
 
   // Shrink to a shell: counts survive (complete() must stay true) but the
-  // per-task state — the actual memory — goes. The shell itself is popped
-  // once it reaches the front of the resident window.
+  // per-task state — the actual memory, the stages' scheduler-view state
+  // included — goes. The shell itself is popped once it reaches the front
+  // of the resident window.
   job.stages.clear();
   job.stages.shrink_to_fit();
   job.retired = true;
@@ -1392,11 +1283,8 @@ EstFactors Simulator::est_factors(const JobState& job,
   switch (config_.estimation.mode) {
     case EstimationMode::kOracle:
       return {};
-    case EstimationMode::kNoisy: {
-      const auto it = noise_factors_.find(
-          (static_cast<long>(job.id) << 20) | static_cast<long>(stage_index));
-      return it != noise_factors_.end() ? it->second : EstFactors{};
-    }
+    case EstimationMode::kNoisy:
+      return job.stages[static_cast<std::size_t>(stage_index)].noise;
     case EstimationMode::kLearnedProfile: {
       if (job.template_id >= 0 && profiled_templates_.contains(job.template_id))
         return {};
@@ -1641,6 +1529,10 @@ SimResult Simulator::finalize() {
               });
   }
   result_.perf = perf_;
+  for (std::size_t m = 0; m < probe_hits_.size(); ++m) {
+    result_.perf.probe_cache_hits += probe_hits_[m];
+    result_.perf.probe_cache_misses += probe_misses_[m];
+  }
   result_.makespan =
       last_finish_ -
       (std::isfinite(first_arrival_) ? first_arrival_ : 0.0);
@@ -1819,9 +1711,18 @@ void Simulator::add_runnable(StageState& stage, int task_index) {
   task.runnable_pos = static_cast<int>(stage.runnable_indices.size());
   task.runnable_since = now_;
   stage.runnable_indices.push_back(task_index);
-  stage.runnable_version++;
   stage.wait_fifo.emplace_back(task_index, now_);
   runnable_total_++;
+  if (config_.naive_scheduler_view) return;
+  if (stage.runnable_indices.size() == 1) {
+    // First runnable task: the stage's view state comes (back) to life.
+    stage.locality.reset(num_real_machines_);
+    stage.probe_slots.resize(static_cast<std::size_t>(num_real_machines_));
+  }
+  if (!stage.locality.full())
+    stage.locality.push(task.spec, candidate_viable(task));
+  if (stage.first_runnable < 0 || task_index < stage.first_runnable)
+    stage.first_runnable = task_index;
 }
 
 void Simulator::remove_runnable(StageState& stage, int task_index) {
@@ -1832,8 +1733,47 @@ void Simulator::remove_runnable(StageState& stage, int task_index) {
   stage.tasks[static_cast<std::size_t>(last)].runnable_pos = pos;
   stage.runnable_indices.pop_back();
   task.runnable_pos = -1;
-  stage.runnable_version++;
   runnable_total_--;
+  if (config_.naive_scheduler_view) return;
+  if (stage.runnable_indices.empty()) {
+    // Nothing left to probe: free the view state until a requeue.
+    stage.locality = {};
+    stage.probe_slots = {};
+    stage.first_runnable = -1;
+    return;
+  }
+  // The index mirrors the swap-and-pop on the first kMaxLocalityScan
+  // positions: a task from beyond the window refills `pos`, or, when the
+  // window is the whole runnable set, the window shrinks.
+  const auto p = static_cast<std::size_t>(pos);
+  if (p < stage.locality.size()) {
+    if (stage.runnable_indices.size() >= stage.locality.size()) {
+      stage.locality.replace(
+          p, stage.tasks[static_cast<std::size_t>(last)].spec,
+          candidate_viable(stage.tasks[static_cast<std::size_t>(last)]));
+    } else {
+      stage.locality.erase(p);
+    }
+  }
+  if (task_index == stage.first_runnable) {
+    int next = task_index + 1;
+    while (stage.tasks[static_cast<std::size_t>(next)].status !=
+           TaskStatus::kRunnable)
+      ++next;
+    stage.first_runnable = next;
+  }
+}
+
+void Simulator::revalidate_localities() {
+  for (auto& job : jobs_) {
+    for (auto& stage : job.stages) {
+      if (stage.probe_slots.empty()) continue;
+      stage.locality.revalidate([&](std::size_t pos) {
+        return candidate_viable(
+            stage.tasks[static_cast<std::size_t>(stage.runnable_indices[pos])]);
+      });
+    }
+  }
 }
 
 double Simulator::stage_longest_wait(StageState& stage) const {
@@ -1856,6 +1796,8 @@ void Simulator::materialize_stage(JobState& job, int stage_index) {
   StageState& stage = job.stages[static_cast<std::size_t>(stage_index)];
   if (stage.materialized) return;
   stage.materialized = true;
+  // The rewrite changes the specs a cached group estimate was drawn from.
+  stage.estimate.rep = EstimateSlot::kEmpty;
   for (auto& task : stage.tasks) {
     bool needs_rewrite = false;
     for (const auto& split : task.spec.inputs) {
@@ -2325,6 +2267,7 @@ void Simulator::on_machine_down(MachineId m) {
   up_fraction_ = compute_up_fraction();
 
   machine_up_[static_cast<std::size_t>(m)] = 0;
+  revalidate_localities();
   machines_[static_cast<std::size_t>(m)].set_up(false);
   machines_[static_cast<std::size_t>(m)].set_external_usage(Resources{});
 
@@ -2413,6 +2356,7 @@ void Simulator::on_machine_up(MachineId m) {
   up_fraction_ = compute_up_fraction();
 
   machine_up_[static_cast<std::size_t>(m)] = 1;
+  revalidate_localities();
   machines_[static_cast<std::size_t>(m)].set_up(true);
   // Resume whatever background activity windows are still open.
   machines_[static_cast<std::size_t>(m)].set_external_usage(

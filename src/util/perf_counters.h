@@ -29,9 +29,9 @@ struct PerfCounters {
   long scalar_tail_evals = 0;  // batch lanes evaluated on the scalar tail
 
   // Simulator-side (SchedulerContext caches):
-  long probe_cache_hits = 0;       // probes answered from the cross-pass memo
-  long probe_cache_misses = 0;     // probes computed and memoized
-  long estimate_cache_hits = 0;    // group-estimate memo hits
+  long probe_cache_hits = 0;       // probes replayed from a stage's slot
+  long probe_cache_misses = 0;     // probes computed into a slot
+  long estimate_cache_hits = 0;    // group estimates replayed from a slot
   long estimate_cache_misses = 0;  // group-estimate recomputes
   long avail_cache_hits = 0;       // machines whose availability was reused
   long avail_recomputes = 0;       // machines rescanned by the tracker

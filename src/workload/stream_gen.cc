@@ -116,8 +116,12 @@ sim::JobSpec make_stream_job(const StreamGenConfig& config, long index) {
 
 bool SyntheticJobSource::peek(sim::JobPeek& out) {
   if (next_ >= config_.num_jobs) return false;
+  if (peeked_ != next_) {
+    peeked_tasks_ = stream_job_tasks(config_, next_);
+    peeked_ = next_;
+  }
   out.arrival = static_cast<double>(next_) * config_.arrival_spacing;
-  out.tasks = stream_job_tasks(config_, next_);
+  out.tasks = peeked_tasks_;
   return true;
 }
 

@@ -55,6 +55,8 @@ class SyntheticJobSource final : public sim::JobSource {
       : config_(config) {}
 
   long total_jobs() const override { return config_.num_jobs; }
+  // The admission gate peeks about once per simulated event, so the
+  // head's task count is computed once per job, not once per peek.
   bool peek(sim::JobPeek& out) override;
   bool next(sim::JobSpec& out) override;
   void reset() { next_ = 0; }
@@ -62,6 +64,10 @@ class SyntheticJobSource final : public sim::JobSource {
  private:
   StreamGenConfig config_;
   long next_ = 0;
+  // stream_job_tasks(config_, peeked_) — a pure function of the index,
+  // so the cache stays valid across reset(); -1 = nothing cached.
+  long peeked_ = -1;
+  long peeked_tasks_ = 0;
 };
 
 // The whole stream as an in-memory workload — the batch-mode oracle for

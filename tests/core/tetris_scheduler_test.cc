@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "sim/simulator.h"
 #include "tests/support/fake_context.h"
@@ -89,6 +90,47 @@ TEST(TetrisConfig, RejectsOutOfRangeKnobs) {
   bad = TetrisConfig{};
   bad.num_threads = -2;
   EXPECT_THROW(TetrisScheduler{bad}, std::invalid_argument);
+}
+
+// Every numeric knob against NaN, +-inf and a negative value. Range checks
+// written `x < lo || x > hi` let NaN through (a NaN fairness_knob used to
+// run to completion with eligibility silently cut to one job); each value
+// must be rejected, except +inf starvation_threshold, the documented "off".
+TEST(TetrisConfig, RejectsNaNInfiniteAndNegativeKnobs) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Knob {
+    const char* name;
+    double TetrisConfig::*field;
+    bool inf_is_off;
+  };
+  const Knob knobs[] = {
+      {"remote_penalty", &TetrisConfig::remote_penalty, false},
+      {"srtf_weight", &TetrisConfig::srtf_weight, false},
+      {"fairness_knob", &TetrisConfig::fairness_knob, false},
+      {"slot_mem", &TetrisConfig::slot_mem, false},
+      {"barrier_knob", &TetrisConfig::barrier_knob, false},
+      {"preemption_deficit", &TetrisConfig::preemption_deficit, false},
+      {"starvation_threshold", &TetrisConfig::starvation_threshold, true},
+      {"future_lookahead", &TetrisConfig::future_lookahead, false},
+  };
+  for (const Knob& k : knobs) {
+    for (const double v : {kNaN, kInf, -kInf, -1.0}) {
+      TetrisConfig cfg;
+      cfg.*k.field = v;
+      if (k.inf_is_off && v == kInf) {
+        EXPECT_NO_THROW(TetrisScheduler{cfg}) << k.name << " = " << v;
+      } else {
+        EXPECT_THROW(TetrisScheduler{cfg}, std::invalid_argument)
+            << k.name << " = " << v;
+      }
+    }
+  }
+  for (const int threads : {-1, std::numeric_limits<int>::min()}) {
+    TetrisConfig cfg;
+    cfg.num_threads = threads;
+    EXPECT_THROW(TetrisScheduler{cfg}, std::invalid_argument) << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -177,6 +177,56 @@ TEST(ComputeLocalPlacement, CountsShuffleBytesSkipsGenerated) {
   EXPECT_DOUBLE_EQ(pd.duration, 5);  // only the shuffle bytes are read
 }
 
+// Twins may share one cached probe, so compute_placement must really give
+// them identical demands on every host, whatever their salts and the
+// churn mask; a split with a choice of replicas disqualifies the pair,
+// because its remote pick is hashed from the salt.
+TEST(PlacementTwins, TwinsPlaceIdenticallyEverywhere) {
+  TaskSpec a = io_task(300, 50);
+  a.inputs.clear();
+  for (MachineId m : {1, 3, 3}) {
+    InputSplit piece;
+    piece.bytes = 40 * kMB * (m + 1);
+    piece.replicas = {m};
+    a.inputs.push_back(piece);
+  }
+  InputSplit generated;
+  generated.bytes = 10 * kMB;
+  a.inputs.push_back(generated);
+  const TaskSpec b = a;
+  ASSERT_TRUE(placement_twins(a, b));
+  std::vector<char> up(5, 1);
+  up[0] = 0;
+  const std::vector<const std::vector<char>*> masks = {nullptr, &up};
+  for (MachineId host = 0; host < 5; ++host) {
+    for (const std::vector<char>* mask : masks) {
+      const PlacementDemand x = compute_placement(a, host, 7, mask);
+      const PlacementDemand y = compute_placement(b, host, 991, mask);
+      EXPECT_EQ(x.local, y.local) << host;
+      EXPECT_EQ(x.duration, y.duration) << host;
+      ASSERT_EQ(x.remote.size(), y.remote.size()) << host;
+      for (std::size_t i = 0; i < x.remote.size(); ++i) {
+        EXPECT_EQ(x.remote[i].machine, y.remote[i].machine) << host;
+        EXPECT_EQ(x.remote[i].disk_read, y.remote[i].disk_read) << host;
+      }
+    }
+  }
+
+  TaskSpec c = b;
+  c.inputs[0].bytes += 1;
+  EXPECT_FALSE(placement_twins(a, c));
+  c = b;
+  c.peak_cores *= 2;
+  EXPECT_FALSE(placement_twins(a, c));
+  c = b;
+  c.inputs.pop_back();
+  EXPECT_FALSE(placement_twins(a, c));
+  // Identical, but the first split can be read from two machines.
+  TaskSpec multi = a;
+  multi.inputs[0].replicas = {1, 2};
+  EXPECT_FALSE(placement_twins(multi, multi));
+}
+
 TEST(LocalFraction, MixesLocalRemoteAndGenerated) {
   TaskSpec t;
   InputSplit local;

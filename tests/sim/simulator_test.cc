@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "federation/federated_simulator.h"
 #include "sim/placement.h"
 #include "util/units.h"
 
@@ -287,6 +290,34 @@ TEST(Simulator, InvalidWorkloadThrows) {
   w.jobs.push_back(job);
   GreedyFitScheduler sched;
   EXPECT_THROW(simulate(small_cluster(1), w, sched), std::invalid_argument);
+}
+
+// Heartbeats re-arm at now + period: a zero period used to hang simulate()
+// (virtual time never advanced, so max_time never fired), and NaN or
+// negative periods were just as broken. Every entry point must refuse
+// them up front.
+TEST(Simulator, RejectsNonPositiveOrNonFiniteHeartbeatPeriod) {
+  Workload w;
+  JobSpec job;
+  job.name = "j";
+  job.stages.push_back({"s", {cpu_task(1, 1, 5)}, {}});
+  w.jobs.push_back(job);
+  for (const double period : {0.0, -1.0,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    SimConfig cfg = small_cluster(2);
+    cfg.heartbeat_period = period;
+    GreedyFitScheduler sched;
+    EXPECT_THROW(simulate(cfg, w, sched), std::invalid_argument) << period;
+    WorkloadJobSource source(w);
+    EXPECT_THROW(simulate_stream(cfg, source, sched), std::invalid_argument)
+        << period;
+    federation::FederationConfig fc;
+    fc.base = cfg;
+    fc.base.cells = {{0, 1}, {1, 2}};
+    EXPECT_THROW(federation::simulate_federated(fc, w), std::invalid_argument)
+        << period;
+  }
 }
 
 TEST(Simulator, ShuffleReadsComeFromUpstreamOutputLocations) {

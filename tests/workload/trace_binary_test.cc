@@ -186,6 +186,37 @@ TEST(TraceBinaryTest, StreamGeneratorRoundTripsThroughFile) {
   std::remove(path.c_str());
 }
 
+// The generator's peek() caches the head job's task count: however often
+// the admission gate peeks, it must see the same head, advance nothing,
+// and leave the pulled stream equal to the materialized oracle.
+TEST(TraceBinaryTest, SyntheticPeekIsIdempotentAndAdvancesNothing) {
+  StreamGenConfig gen;
+  gen.num_jobs = 30;
+  gen.seed = 5;
+  const sim::Workload oracle = materialize_stream(gen);
+  SyntheticJobSource source(gen);
+  for (int pass = 0; pass < 2; ++pass) {
+    sim::JobSpec job;
+    for (std::size_t i = 0; i < oracle.jobs.size(); ++i) {
+      long tasks = 0;
+      for (const auto& stage : oracle.jobs[i].stages)
+        tasks += static_cast<long>(stage.tasks.size());
+      for (int k = 0; k < 3; ++k) {
+        sim::JobPeek peek;
+        ASSERT_TRUE(source.peek(peek));
+        EXPECT_EQ(peek.arrival, oracle.jobs[i].arrival) << i;
+        EXPECT_EQ(peek.tasks, tasks) << i;
+      }
+      ASSERT_TRUE(source.next(job));
+      expect_jobs_equal(oracle.jobs[i], job, static_cast<int>(i));
+    }
+    sim::JobPeek end;
+    EXPECT_FALSE(source.peek(end));
+    EXPECT_FALSE(source.next(job));
+    source.reset();  // the rewound stream must not see a stale head
+  }
+}
+
 TEST(TraceBinaryTest, TruncationAtEveryPrefixIsRejectedCleanly) {
   const sim::Workload w = random_workload(11, 3);
   const std::string path = temp_path("trunc");
