@@ -19,7 +19,7 @@
 // bench_results/federation_scaling.csv (cell_threads wall-clock sweep)
 // and bench_results/federation_perf_counters.csv (merged per-cell
 // counters incl. idle_cell_skips / cell_advance_seconds), all with the
-// standard scheduler,threads,trace,cells,dispatcher prefix (the global
+// standard scheduler,trace,cells,dispatcher prefix (the global
 // baseline reports cells=0, dispatcher=global).
 #include <chrono>
 #include <cstring>
@@ -94,9 +94,9 @@ std::string csv_row(const tetris::analysis::RunTag& tag, long jobs,
                     double makespan, double avg_jct, double util,
                     double fragmentation, double skew, double makespan_loss,
                     double jct_loss, double wall_ms, double tasks_per_sec) {
-  return tag.scheduler + "," + std::to_string(tag.threads) + "," +
-         (tag.trace ? "1" : "0") + "," + std::to_string(tag.cells) + "," +
-         tag.dispatcher + "," + std::to_string(jobs) + "," +
+  return tag.scheduler + "," + (tag.trace ? "1" : "0") + "," +
+         std::to_string(tag.cells) + "," + tag.dispatcher + "," +
+         std::to_string(jobs) + "," +
          std::to_string(machines) + "," + (completed ? "1" : "0") + "," +
          std::to_string(reassigned) + "," + std::to_string(lost) + "," +
          format_double(makespan, 2) + "," + format_double(avg_jct, 2) + "," +
@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
            "makespan loss (%)", "JCT loss (%)", "wall (ms)", "tasks/s"});
   tetris::analysis::RunTag gtag = bench::run_tag("tetris-federated", base);
   std::string csv =
-      "scheduler,threads,trace,cells,dispatcher,jobs,machines,completed,"
+      "scheduler,trace,cells,dispatcher,jobs,machines,completed,"
       "reassigned,lost,makespan,avg_jct,avg_utilization,fragmentation,"
       "utilization_skew,makespan_loss_pct,jct_loss_pct,sched_wall_ms,"
       "tasks_per_sec\n";
@@ -339,7 +339,7 @@ int main(int argc, char** argv) {
   Table st({"cells", "cell_threads", "wall (ms)", "tasks/s", "speedup",
             "idle skips", "advance (ms)", "identical"});
   std::string scsv =
-      "scheduler,threads,trace,cells,dispatcher,cell_threads,jobs,machines,"
+      "scheduler,trace,cells,dispatcher,cell_threads,jobs,machines,"
       "tasks,completed,sched_wall_ms,tasks_per_sec,speedup_vs_serial,"
       "idle_cell_skips,cell_advance_ms,makespan\n";
   std::string pcsv;
@@ -392,9 +392,9 @@ int main(int argc, char** argv) {
       tetris::analysis::RunTag tag = gtag;
       tag.cells = cells;
       tag.dispatcher = federation::policy_name(fc.policy);
-      scsv += tag.scheduler + "," + std::to_string(tag.threads) + "," +
-              (tag.trace ? "1" : "0") + "," + std::to_string(tag.cells) +
-              "," + tag.dispatcher + "," + std::to_string(cell_threads) +
+      scsv += tag.scheduler + "," + (tag.trace ? "1" : "0") + "," +
+              std::to_string(tag.cells) + "," + tag.dispatcher + "," +
+              std::to_string(cell_threads) +
               "," + std::to_string(fed.jobs) + "," +
               std::to_string(scale.machines) + "," +
               std::to_string(total_tasks) + "," +

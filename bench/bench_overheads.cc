@@ -13,11 +13,10 @@
 //   jobs/machines size the heavy backlog run (default 230 jobs x 30
 //   machines ~ 10K pending tasks at t=0). Per-pass samples land in
 //   bench_results/table8_overheads.csv, counter totals in
-//   bench_results/table8_perf_counters.csv, the thread sweep in
-//   bench_results/table8_threads.csv, the SIMD on/off sweep in
+//   bench_results/table8_perf_counters.csv, the SIMD on/off sweep in
 //   bench_results/table8_simd.csv and the trace on/off sweep in
 //   bench_results/table8_trace_overhead.csv. All rows are prefixed with
-//   scheduler,threads,trace,cells,dispatcher so they are self-describing
+//   scheduler,trace,cells,dispatcher so they are self-describing
 //   (cells=0, dispatcher=global: these runs are not federated).
 #include <benchmark/benchmark.h>
 
@@ -101,6 +100,23 @@ std::pair<double, long> heavy_mean_ms(const sim::SimResult& r, int cut) {
   return {n ? total / static_cast<double>(n) * 1e3 : 0.0, n};
 }
 
+// The schedules are deterministic, so repeated runs do identical work;
+// keeping the repetition with the lowest mean pass latency filters
+// scheduler-exogenous noise on a shared box the same way benchmark
+// frameworks report min-of-N.
+template <typename RunFn>
+sim::SimResult best_of_3(RunFn run) {
+  sim::SimResult best;
+  for (int rep = 0; rep < 3; ++rep) {
+    sim::SimResult r = run();
+    if (rep == 0 || r.scheduler_cost.mean_seconds() <
+                        best.scheduler_cost.mean_seconds()) {
+      best = std::move(r);
+    }
+  }
+  return best;
+}
+
 // Table 8: naive vs optimized per-pass latency from full runs, plus the
 // slot-fair baseline for context. All three drain the same workload; the
 // two Tetris runs produce bit-identical schedules (the equivalence test
@@ -129,39 +145,22 @@ void print_pass_latency_table(const bench::Scale& heavy_scale,
     const int cut = static_cast<int>(0.5 * static_cast<double>(
                                                w.total_tasks()));
 
-    // The schedules are deterministic, so repeated runs do identical
-    // work; keeping the repetition with the lowest mean pass latency
-    // filters scheduler-exogenous noise (this box is a single shared
-    // vCPU) the same way benchmark frameworks report min-of-N.
-    constexpr int kReps = 3;
-    const auto best_of = [&](auto run_fn) {
-      sim::SimResult best;
-      for (int rep = 0; rep < kReps; ++rep) {
-        sim::SimResult r = run_fn();
-        if (rep == 0 || r.scheduler_cost.mean_seconds() <
-                            best.scheduler_cost.mean_seconds()) {
-          best = std::move(r);
-        }
-      }
-      return best;
-    };
-
     sched::SlotScheduler fair;
     const auto r_fair =
-        best_of([&] { return bench::run_baseline(cfg, w, fair); });
+        best_of_3([&] { return bench::run_baseline(cfg, w, fair); });
 
     sim::SimConfig naive_cfg = cfg;
     naive_cfg.naive_scheduler_view = true;
     core::TetrisConfig naive_tcfg;
     naive_tcfg.naive_scoring = true;
     naive_tcfg.name = "tetris-naive";
-    const auto r_naive =
-        best_of([&] { return bench::run_tetris(naive_cfg, w, naive_tcfg); });
+    const auto r_naive = best_of_3(
+        [&] { return bench::run_tetris(naive_cfg, w, naive_tcfg); });
 
     core::TetrisConfig opt_tcfg;
     opt_tcfg.name = "tetris-opt";
     const auto r_opt =
-        best_of([&] { return bench::run_tetris(cfg, w, opt_tcfg); });
+        best_of_3([&] { return bench::run_tetris(cfg, w, opt_tcfg); });
 
     if (r_naive.makespan != r_opt.makespan) {
       std::cerr << "ERROR: optimized schedule diverged from naive oracle "
@@ -209,98 +208,23 @@ void print_pass_latency_table(const bench::Scale& heavy_scale,
   std::cout << t.to_string();
 }
 
-// Thread-scaling sweep (DESIGN.md §9): the optimized pass at 1, 2, 4 and
-// 8 workers against the serial scan, heavy scale only. Schedules are
-// bit-identical by construction (spot-checked on makespan), so the only
-// moving number is pass latency — which also captures the dispatch and
-// reduction overhead the sharded path pays on a small machine.
-void print_thread_scaling_table(const bench::Scale& heavy_scale,
-                                std::string* threads_csv) {
-  std::cout << "\nThread scaling — optimized pass, "
-            << "serial scan vs sharded scan (DESIGN.md §9). Same workload, "
-               "bit-identical schedules; latency is the only difference.\n";
-  Table t({"threads", "backlog (tasks)", "passes", "mean pass (ms)",
-           "mean @ heavy backlog (ms)", "max pass (ms)",
-           "reduction total (ms)", "makespan (s)"});
-  *threads_csv =
-      "scheduler,threads,trace,cells,dispatcher,"
-      "backlog_tasks,passes,mean_pass_ms,"
-      "heavy_mean_pass_ms,max_pass_ms,parallel_passes,reduction_total_ms,"
-      "makespan\n";
-
-  const sim::Workload w =
-      bench::facebook_workload(heavy_scale, /*arrival_window=*/0);
-  sim::SimConfig cfg = bench::facebook_cluster(heavy_scale);
-  cfg.collect_pass_samples = true;
-  const int cut =
-      static_cast<int>(0.5 * static_cast<double>(w.total_tasks()));
-
-  constexpr int kReps = 3;
-  double serial_makespan = -1;
-  for (const int threads : {0, 1, 2, 4, 8}) {
-    sim::SimResult best;
-    for (int rep = 0; rep < kReps; ++rep) {
-      core::TetrisConfig tcfg;
-      tcfg.name = "tetris-opt";
-      tcfg.num_threads = threads;
-      sim::SimResult r = bench::run_tetris(cfg, w, tcfg);
-      if (rep == 0 || r.scheduler_cost.mean_seconds() <
-                          best.scheduler_cost.mean_seconds()) {
-        best = std::move(r);
-      }
-    }
-    bench::warn_if_incomplete(best);
-    if (threads == 0) {
-      serial_makespan = best.makespan;
-    } else if (best.makespan != serial_makespan) {
-      std::cerr << "ERROR: " << threads
-                << "-thread schedule diverged from serial (makespan "
-                << best.makespan << " vs " << serial_makespan << ")\n";
-    }
-    const auto& c = best.scheduler_cost;
-    const auto [heavy_ms, heavy_n] = heavy_mean_ms(best, cut);
-    const double reduction_ms =
-        static_cast<double>(best.perf.reduction_nanos) * 1e-6;
-    t.add_row({threads == 0 ? "serial" : std::to_string(threads),
-               std::to_string(w.total_tasks()), std::to_string(c.invocations),
-               format_double(c.mean_seconds() * 1e3, 3),
-               format_double(heavy_ms, 3) + " (" + std::to_string(heavy_n) +
-                   "p)",
-               format_double(c.max_seconds * 1e3, 3),
-               format_double(reduction_ms, 3),
-               format_double(best.makespan, 1)});
-    *threads_csv += "tetris-opt," + std::to_string(threads) +
-                    ",0,0,global," +
-                    std::to_string(w.total_tasks()) + "," +
-                    std::to_string(c.invocations) + "," +
-                    format_double(c.mean_seconds() * 1e3, 4) + "," +
-                    format_double(heavy_ms, 4) + "," +
-                    format_double(c.max_seconds * 1e3, 4) + "," +
-                    std::to_string(best.perf.parallel_passes) + "," +
-                    format_double(reduction_ms, 4) + "," +
-                    format_double(best.makespan, 3) + "\n";
-  }
-  std::cout << t.to_string();
-}
-
 // SIMD sweep (DESIGN.md §12): the optimized pass with the SoA batch
-// kernel off vs on, serial and 8-thread, heavy scale. The kernel is
-// bit-identical to the scalar scan (the equivalence matrix enforces it;
-// spot-checked here on makespan), so the only moving number is pass
-// latency. The acceptance bar is >=1.5x on the heavy-backlog mean at the
-// 10K-task scale.
+// kernel off vs on, heavy scale. Off flushes one cell per kernel call
+// through the scalar reference lane, so the schedule and score_evals are
+// identical (the equivalence matrix enforces it; spot-checked here on
+// makespan) and the only moving number is pass latency.
 void print_simd_table(const bench::Scale& heavy_scale,
                       std::string* simd_csv) {
-  std::cout << "\nSIMD scoring kernel — scalar scan vs SoA batch kernel ("
+  std::cout << "\nSIMD scoring kernel — scalar lane vs SoA batch kernel ("
             << core::simd::isa_name() << ", "
             << core::simd::lane_width()
             << " lanes; DESIGN.md §12). Same workload, bit-identical "
                "schedules; latency is the only difference.\n";
-  Table t({"threads", "simd", "passes", "mean pass (ms)",
-           "mean @ heavy backlog (ms)", "max pass (ms)", "simd blocks",
-           "scalar tail", "speedup @ heavy"});
+  Table t({"simd", "passes", "mean pass (ms)", "mean @ heavy backlog (ms)",
+           "max pass (ms)", "score evals", "simd blocks", "scalar tail",
+           "speedup @ heavy"});
   *simd_csv =
-      "scheduler,threads,trace,cells,dispatcher,"
+      "scheduler,trace,cells,dispatcher,"
       "simd,isa,lanes,backlog_tasks,passes,"
       "mean_pass_ms,heavy_mean_pass_ms,max_pass_ms,score_evals,"
       "simd_blocks,scalar_tail_evals,heavy_speedup,makespan\n";
@@ -312,83 +236,70 @@ void print_simd_table(const bench::Scale& heavy_scale,
   const int cut =
       static_cast<int>(0.5 * static_cast<double>(w.total_tasks()));
 
-  constexpr int kReps = 3;
-  for (const int threads : {0, 8}) {
-    double off_heavy_ms = 0;
-    double off_makespan = -1;
-    for (const core::SimdMode simd :
-         {core::SimdMode::kOff, core::SimdMode::kOn}) {
-      const bool on = simd == core::SimdMode::kOn;
-      sim::SimResult best;
-      for (int rep = 0; rep < kReps; ++rep) {
-        core::TetrisConfig tcfg;
-        tcfg.name = std::string("tetris-simd-") + (on ? "on" : "off");
-        tcfg.num_threads = threads;
-        tcfg.simd = simd;
-        sim::SimResult r = bench::run_tetris(cfg, w, tcfg);
-        if (rep == 0 || r.scheduler_cost.mean_seconds() <
-                            best.scheduler_cost.mean_seconds()) {
-          best = std::move(r);
-        }
-      }
-      bench::warn_if_incomplete(best);
-      if (!on) {
-        off_makespan = best.makespan;
-      } else if (best.makespan != off_makespan) {
-        std::cerr << "ERROR: simd=on schedule diverged from simd=off "
-                     "(makespan "
-                  << best.makespan << " vs " << off_makespan << ")\n";
-      }
-      const auto& c = best.scheduler_cost;
-      const auto [heavy_ms, heavy_n] = heavy_mean_ms(best, cut);
-      if (!on) off_heavy_ms = heavy_ms;
-      const double speedup =
-          on && heavy_ms > 0 ? off_heavy_ms / heavy_ms : 0.0;
-      t.add_row({threads == 0 ? "serial" : std::to_string(threads),
-                 on ? "on" : "off", std::to_string(c.invocations),
-                 format_double(c.mean_seconds() * 1e3, 3),
-                 format_double(heavy_ms, 3) + " (" +
-                     std::to_string(heavy_n) + "p)",
-                 format_double(c.max_seconds * 1e3, 3),
-                 std::to_string(best.perf.simd_blocks),
-                 std::to_string(best.perf.scalar_tail_evals),
-                 on ? format_double(speedup, 2) + "x" : "-"});
-      *simd_csv += std::string("tetris-simd-") + (on ? "on" : "off") + "," +
-                   std::to_string(threads) + ",0,0,global," +
-                   (on ? "1" : "0") + "," +
-                   std::string(core::simd::isa_name()) + "," +
-                   std::to_string(core::simd::lane_width()) + "," +
-                   std::to_string(w.total_tasks()) + "," +
-                   std::to_string(c.invocations) + "," +
-                   format_double(c.mean_seconds() * 1e3, 4) + "," +
-                   format_double(heavy_ms, 4) + "," +
-                   format_double(c.max_seconds * 1e3, 4) + "," +
-                   std::to_string(best.perf.score_evals) + "," +
-                   std::to_string(best.perf.simd_blocks) + "," +
-                   std::to_string(best.perf.scalar_tail_evals) + "," +
-                   format_double(speedup, 3) + "," +
-                   format_double(best.makespan, 3) + "\n";
+  double off_heavy_ms = 0;
+  double off_makespan = -1;
+  for (const core::SimdMode simd :
+       {core::SimdMode::kOff, core::SimdMode::kOn}) {
+    const bool on = simd == core::SimdMode::kOn;
+    core::TetrisConfig tcfg;
+    tcfg.name = std::string("tetris-simd-") + (on ? "on" : "off");
+    tcfg.simd = simd;
+    const sim::SimResult best =
+        best_of_3([&] { return bench::run_tetris(cfg, w, tcfg); });
+    bench::warn_if_incomplete(best);
+    if (!on) {
+      off_makespan = best.makespan;
+    } else if (best.makespan != off_makespan) {
+      std::cerr << "ERROR: simd=on schedule diverged from simd=off "
+                   "(makespan "
+                << best.makespan << " vs " << off_makespan << ")\n";
     }
+    const auto& c = best.scheduler_cost;
+    const auto [heavy_ms, heavy_n] = heavy_mean_ms(best, cut);
+    if (!on) off_heavy_ms = heavy_ms;
+    const double speedup = on && heavy_ms > 0 ? off_heavy_ms / heavy_ms : 0.0;
+    t.add_row({on ? "on" : "off", std::to_string(c.invocations),
+               format_double(c.mean_seconds() * 1e3, 3),
+               format_double(heavy_ms, 3) + " (" + std::to_string(heavy_n) +
+                   "p)",
+               format_double(c.max_seconds * 1e3, 3),
+               std::to_string(best.perf.score_evals),
+               std::to_string(best.perf.simd_blocks),
+               std::to_string(best.perf.scalar_tail_evals),
+               on ? format_double(speedup, 2) + "x" : "-"});
+    *simd_csv += std::string("tetris-simd-") + (on ? "on" : "off") +
+                 ",0,0,global," + (on ? "1" : "0") + "," +
+                 std::string(core::simd::isa_name()) + "," +
+                 std::to_string(core::simd::lane_width()) + "," +
+                 std::to_string(w.total_tasks()) + "," +
+                 std::to_string(c.invocations) + "," +
+                 format_double(c.mean_seconds() * 1e3, 4) + "," +
+                 format_double(heavy_ms, 4) + "," +
+                 format_double(c.max_seconds * 1e3, 4) + "," +
+                 std::to_string(best.perf.score_evals) + "," +
+                 std::to_string(best.perf.simd_blocks) + "," +
+                 std::to_string(best.perf.scalar_tail_evals) + "," +
+                 format_double(speedup, 3) + "," +
+                 format_double(best.makespan, 3) + "\n";
   }
   std::cout << t.to_string();
 }
 
 // Trace-overhead sweep (DESIGN.md §10): the optimized pass with event
-// tracing off vs on, serial and 8-thread, heavy scale. Tracing must not
-// change decisions (spot-checked on makespan; the replay tests enforce
-// event-level equality), so the only number that may move is pass
-// latency — the acceptance bar is <2% on the heavy-backlog mean.
+// tracing off vs on, heavy scale. Tracing must not change decisions
+// (spot-checked on makespan; the replay tests enforce event-level
+// equality), so the only number that may move is pass latency — the
+// acceptance bar is <2% on the heavy-backlog mean.
 void print_trace_overhead_table(const bench::Scale& heavy_scale,
                                 std::string* trace_csv) {
   std::cout << "\nTrace overhead — optimized pass with the event recorder "
                "off vs on (DESIGN.md §10). Identical schedules; the delta "
                "is the cost of recording placements, passes and task "
                "lifecycle events.\n";
-  Table t({"threads", "trace", "passes", "mean pass (ms)",
-           "mean @ heavy backlog (ms)", "max pass (ms)", "events",
-           "overhead @ heavy (%)"});
+  Table t({"trace", "passes", "mean pass (ms)", "mean @ heavy backlog (ms)",
+           "max pass (ms)", "events", "overhead @ heavy (%)"});
   *trace_csv =
-      "scheduler,threads,trace,cells,dispatcher,"
+      "scheduler,trace,cells,dispatcher,"
       "backlog_tasks,passes,mean_pass_ms,"
       "heavy_mean_pass_ms,max_pass_ms,events,dropped,heavy_overhead_pct,"
       "makespan\n";
@@ -398,64 +309,50 @@ void print_trace_overhead_table(const bench::Scale& heavy_scale,
   const int cut =
       static_cast<int>(0.5 * static_cast<double>(w.total_tasks()));
 
-  constexpr int kReps = 3;
-  for (const int threads : {0, 8}) {
-    double off_heavy_ms = 0;
-    double off_makespan = -1;
-    for (const bool traced : {false, true}) {
-      sim::SimConfig cfg = bench::facebook_cluster(heavy_scale);
-      cfg.collect_pass_samples = true;
-      cfg.trace.enabled = traced;
-      // Large enough that nothing is dropped mid-run: the comparison
-      // should price recording, not ring-buffer recycling.
-      cfg.trace.max_chunks_per_thread = 4096;
-
-      sim::SimResult best;
-      for (int rep = 0; rep < kReps; ++rep) {
-        core::TetrisConfig tcfg;
-        tcfg.name = "tetris-opt";
-        tcfg.num_threads = threads;
-        sim::SimResult r = bench::run_tetris(cfg, w, tcfg);
-        if (rep == 0 || r.scheduler_cost.mean_seconds() <
-                            best.scheduler_cost.mean_seconds()) {
-          best = std::move(r);
-        }
-      }
-      bench::warn_if_incomplete(best);
-      if (!traced) {
-        off_makespan = best.makespan;
-      } else if (best.makespan != off_makespan) {
-        std::cerr << "ERROR: traced run diverged from untraced (makespan "
-                  << best.makespan << " vs " << off_makespan << ")\n";
-      }
-      const auto& c = best.scheduler_cost;
-      const auto [heavy_ms, heavy_n] = heavy_mean_ms(best, cut);
-      if (!traced) off_heavy_ms = heavy_ms;
-      const double overhead_pct =
-          traced && off_heavy_ms > 0
-              ? (heavy_ms - off_heavy_ms) / off_heavy_ms * 100.0
-              : 0.0;
-      const std::size_t events = best.trace_log.events.size();
-      t.add_row({threads == 0 ? "serial" : std::to_string(threads),
-                 traced ? "on" : "off", std::to_string(c.invocations),
-                 format_double(c.mean_seconds() * 1e3, 3),
-                 format_double(heavy_ms, 3) + " (" +
-                     std::to_string(heavy_n) + "p)",
-                 format_double(c.max_seconds * 1e3, 3),
-                 std::to_string(events),
-                 traced ? format_double(overhead_pct, 2) : "-"});
-      *trace_csv += "tetris-opt," + std::to_string(threads) + "," +
-                    (traced ? "1," : "0,") + "0,global," +
-                    std::to_string(w.total_tasks()) + "," +
-                    std::to_string(c.invocations) + "," +
-                    format_double(c.mean_seconds() * 1e3, 4) + "," +
-                    format_double(heavy_ms, 4) + "," +
-                    format_double(c.max_seconds * 1e3, 4) + "," +
-                    std::to_string(events) + "," +
-                    std::to_string(best.trace_log.dropped) + "," +
-                    format_double(overhead_pct, 3) + "," +
-                    format_double(best.makespan, 3) + "\n";
+  double off_heavy_ms = 0;
+  double off_makespan = -1;
+  for (const bool traced : {false, true}) {
+    sim::SimConfig cfg = bench::facebook_cluster(heavy_scale);
+    cfg.collect_pass_samples = true;
+    cfg.trace.enabled = traced;
+    // Large enough that nothing is dropped mid-run: the comparison
+    // should price recording, not ring-buffer recycling.
+    cfg.trace.max_chunks_per_thread = 4096;
+    core::TetrisConfig tcfg;
+    tcfg.name = "tetris-opt";
+    const sim::SimResult best =
+        best_of_3([&] { return bench::run_tetris(cfg, w, tcfg); });
+    bench::warn_if_incomplete(best);
+    if (!traced) {
+      off_makespan = best.makespan;
+    } else if (best.makespan != off_makespan) {
+      std::cerr << "ERROR: traced run diverged from untraced (makespan "
+                << best.makespan << " vs " << off_makespan << ")\n";
     }
+    const auto& c = best.scheduler_cost;
+    const auto [heavy_ms, heavy_n] = heavy_mean_ms(best, cut);
+    if (!traced) off_heavy_ms = heavy_ms;
+    const double overhead_pct =
+        traced && off_heavy_ms > 0
+            ? (heavy_ms - off_heavy_ms) / off_heavy_ms * 100.0
+            : 0.0;
+    const std::size_t events = best.trace_log.events.size();
+    t.add_row({traced ? "on" : "off", std::to_string(c.invocations),
+               format_double(c.mean_seconds() * 1e3, 3),
+               format_double(heavy_ms, 3) + " (" + std::to_string(heavy_n) +
+                   "p)",
+               format_double(c.max_seconds * 1e3, 3), std::to_string(events),
+               traced ? format_double(overhead_pct, 2) : "-"});
+    *trace_csv += std::string("tetris-opt,") + (traced ? "1," : "0,") +
+                  "0,global," + std::to_string(w.total_tasks()) + "," +
+                  std::to_string(c.invocations) + "," +
+                  format_double(c.mean_seconds() * 1e3, 4) + "," +
+                  format_double(heavy_ms, 4) + "," +
+                  format_double(c.max_seconds * 1e3, 4) + "," +
+                  std::to_string(events) + "," +
+                  std::to_string(best.trace_log.dropped) + "," +
+                  format_double(overhead_pct, 3) + "," +
+                  format_double(best.makespan, 3) + "\n";
   }
   std::cout << t.to_string();
 }
@@ -477,10 +374,6 @@ int main(int argc, char** argv) {
   print_pass_latency_table(scale, &samples_csv, &counters_csv);
   write_file("bench_results/table8_overheads.csv", samples_csv);
   write_file("bench_results/table8_perf_counters.csv", counters_csv);
-
-  std::string threads_csv;
-  print_thread_scaling_table(scale, &threads_csv);
-  write_file("bench_results/table8_threads.csv", threads_csv);
 
   std::string simd_csv;
   print_simd_table(scale, &simd_csv);

@@ -50,13 +50,10 @@ struct StreamRun {
 };
 
 StreamRun run_stream(const sim::SimConfig& cfg, sim::JobSource& source,
-                     long total_tasks, int threads) {
-  core::TetrisConfig tcfg;
-  tcfg.num_threads = threads;
-  core::TetrisScheduler tetris(tcfg);
+                     long total_tasks) {
+  core::TetrisScheduler tetris;
 
   sim::SimConfig run_cfg = cfg;
-  run_cfg.num_threads = threads;
   run_cfg.tracker = sim::TrackerMode::kUsage;
 
   StreamRun out;
@@ -97,64 +94,55 @@ int main(int argc, char** argv) {
   cfg.collect_task_records = false;
   cfg.max_time = 1e9;
 
-  std::string csv;
-  bool first = true;
-  // Heavier (threaded) run first so the cumulative RSS high-water mark is
-  // attributed to the run that set it.
-  for (int threads : {8, 0}) {
-    StreamRun run;
-    std::string trace_name;
-    if (!trace_path.empty()) {
-      workload::BinaryTraceReader reader(trace_path);
-      long tasks = 0;
-      {  // Headers are cheap to scan; count tasks for the throughput row.
-        workload::BinaryTraceReader counter(trace_path);
-        sim::JobPeek p;
-        sim::JobSpec j;
-        while (counter.peek(p)) {
-          tasks += p.tasks;
-          counter.next(j);
-        }
+  StreamRun run;
+  std::string trace_name;
+  if (!trace_path.empty()) {
+    workload::BinaryTraceReader reader(trace_path);
+    long tasks = 0;
+    {  // Headers are cheap to scan; count tasks for the throughput row.
+      workload::BinaryTraceReader counter(trace_path);
+      sim::JobPeek p;
+      sim::JobSpec j;
+      while (counter.peek(p)) {
+        tasks += p.tasks;
+        counter.next(j);
       }
-      run = run_stream(cfg, reader, tasks, threads);
-      trace_name = trace_path;
-    } else {
-      workload::SyntheticJobSource source(gen);
-      run = run_stream(cfg, source, workload::stream_total_tasks(gen),
-                       threads);
-      trace_name = "synthetic";
     }
-    bench::warn_if_incomplete(run.result);
-
-    analysis::RunTag tag = bench::run_tag("tetris-stream", cfg, threads);
-    csv += analysis::streaming_csv(tag, run.result, run.total_tasks,
-                                   run.wall_seconds, peak_rss_mb(), first);
-    first = false;
-
-    const auto& p = run.result.perf;
-    Table t({"metric", "value"});
-    t.add_row({"source", trace_name});
-    t.add_row({"threads", std::to_string(threads)});
-    t.add_row({"jobs admitted", std::to_string(p.jobs_admitted)});
-    t.add_row({"tasks placed", std::to_string(run.total_tasks)});
-    t.add_row({"makespan (s)", format_double(run.result.makespan, 1)});
-    t.add_row({"wall (s)", format_double(run.wall_seconds, 2)});
-    t.add_row({"tasks/sec",
-               format_double(static_cast<double>(run.total_tasks) /
-                                 run.wall_seconds,
-                             0)});
-    t.add_row({"pass p50 (ms)",
-               format_double(
-                   run.result.pass_latency.quantile_seconds(0.5) * 1e3, 3)});
-    t.add_row({"pass p99 (ms)",
-               format_double(
-                   run.result.pass_latency.quantile_seconds(0.99) * 1e3, 3)});
-    t.add_row({"peak resident jobs", std::to_string(p.peak_resident_jobs)});
-    t.add_row({"peak resident tasks", std::to_string(p.peak_resident_tasks)});
-    t.add_row({"deferrals", std::to_string(p.stream_deferrals)});
-    t.add_row({"peak RSS (MB)", format_double(peak_rss_mb(), 1)});
-    std::cout << t.to_string() << "\n";
+    run = run_stream(cfg, reader, tasks);
+    trace_name = trace_path;
+  } else {
+    workload::SyntheticJobSource source(gen);
+    run = run_stream(cfg, source, workload::stream_total_tasks(gen));
+    trace_name = "synthetic";
   }
+  bench::warn_if_incomplete(run.result);
+
+  const analysis::RunTag tag = bench::run_tag("tetris-stream", cfg);
+  const std::string csv = analysis::streaming_csv(
+      tag, run.result, run.total_tasks, run.wall_seconds, peak_rss_mb());
+
+  const auto& p = run.result.perf;
+  Table t({"metric", "value"});
+  t.add_row({"source", trace_name});
+  t.add_row({"jobs admitted", std::to_string(p.jobs_admitted)});
+  t.add_row({"tasks placed", std::to_string(run.total_tasks)});
+  t.add_row({"makespan (s)", format_double(run.result.makespan, 1)});
+  t.add_row({"wall (s)", format_double(run.wall_seconds, 2)});
+  t.add_row({"tasks/sec",
+             format_double(static_cast<double>(run.total_tasks) /
+                               run.wall_seconds,
+                           0)});
+  t.add_row({"pass p50 (ms)",
+             format_double(
+                 run.result.pass_latency.quantile_seconds(0.5) * 1e3, 3)});
+  t.add_row({"pass p99 (ms)",
+             format_double(
+                 run.result.pass_latency.quantile_seconds(0.99) * 1e3, 3)});
+  t.add_row({"peak resident jobs", std::to_string(p.peak_resident_jobs)});
+  t.add_row({"peak resident tasks", std::to_string(p.peak_resident_tasks)});
+  t.add_row({"deferrals", std::to_string(p.stream_deferrals)});
+  t.add_row({"peak RSS (MB)", format_double(peak_rss_mb(), 1)});
+  std::cout << t.to_string() << "\n";
 
   write_file("bench_results/streaming_throughput.csv", csv);
   std::cout << "wrote bench_results/streaming_throughput.csv\n";

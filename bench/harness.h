@@ -99,7 +99,6 @@ inline sim::SimResult run_baseline(sim::SimConfig cfg, const sim::Workload& w,
 inline sim::SimResult run_tetris(sim::SimConfig cfg, const sim::Workload& w,
                                  core::TetrisConfig tcfg = {}) {
   cfg.tracker = sim::TrackerMode::kUsage;
-  if (tcfg.num_threads == 0) tcfg.num_threads = cfg.num_threads;
   core::TetrisScheduler tetris(std::move(tcfg));
   return sim::simulate(cfg, w, tetris);
 }
@@ -138,13 +137,11 @@ inline std::string cdf_csv(const std::vector<double>& xs) {
 }
 
 // The self-describing row tag for the bench_results CSVs: which scheduler
-// variant, how many worker threads (resolved the same way run_tetris
-// resolves the knob) and whether event tracing was on for the run.
+// variant and whether event tracing was on for the run.
 inline analysis::RunTag run_tag(const std::string& scheduler,
-                                const sim::SimConfig& cfg, int threads = 0) {
+                                const sim::SimConfig& cfg) {
   analysis::RunTag tag;
   tag.scheduler = scheduler;
-  tag.threads = threads > 0 ? threads : cfg.num_threads;
   tag.trace = cfg.trace.enabled;
   return tag;
 }

@@ -72,12 +72,10 @@ std::string churn_csv(const sim::SimResult& result) {
 namespace {
 
 // The self-describing row prefix shared by the bench_results tables;
-// keep in sync with the "scheduler,threads,trace,cells,dispatcher"
-// header columns.
+// keep in sync with the "scheduler,trace,cells,dispatcher" header columns.
 std::string tag_prefix(const RunTag& tag) {
-  return escape(tag.scheduler) + "," + std::to_string(tag.threads) + "," +
-         (tag.trace ? "1" : "0") + "," + std::to_string(tag.cells) + "," +
-         escape(tag.dispatcher);
+  return escape(tag.scheduler) + "," + (tag.trace ? "1" : "0") + "," +
+         std::to_string(tag.cells) + "," + escape(tag.dispatcher);
 }
 
 }  // namespace
@@ -86,7 +84,7 @@ std::string pass_samples_csv(const RunTag& tag,
                              const sim::SimResult& result, bool with_header) {
   std::ostringstream os;
   if (with_header)
-    os << "scheduler,threads,trace,cells,dispatcher,"
+    os << "scheduler,trace,cells,dispatcher,"
           "time,backlog,placements,pass_seconds\n";
   for (const auto& s : result.pass_samples) {
     os << tag_prefix(tag) << "," << s.time << "," << s.backlog << ","
@@ -104,13 +102,12 @@ std::string perf_counters_csv(const RunTag& tag,
                               const util::PerfCounters& p, bool with_header) {
   std::ostringstream os;
   if (with_header) {
-    os << "scheduler,threads,trace,cells,dispatcher,"
+    os << "scheduler,trace,cells,dispatcher,"
           "score_evals,probes_issued,probe_reuses,sticky_rejects,"
           "fit_index_skips,row_skips,probe_cache_hits,probe_cache_misses,"
           "estimate_cache_hits,estimate_cache_misses,avail_cache_hits,"
           "avail_recomputes,simd_blocks,scalar_tail_evals,"
-          "parallel_passes,reduction_seconds,cell_advance_seconds,"
-          "idle_cell_skips,shard_evals\n";
+          "cell_advance_seconds,idle_cell_skips\n";
   }
   os << tag_prefix(tag) << "," << p.score_evals << "," << p.probes_issued << ","
      << p.probe_reuses << "," << p.sticky_rejects << "," << p.fit_index_skips
@@ -119,15 +116,8 @@ std::string perf_counters_csv(const RunTag& tag,
      << p.estimate_cache_hits << "," << p.estimate_cache_misses << ","
      << p.avail_cache_hits << "," << p.avail_recomputes << ","
      << p.simd_blocks << "," << p.scalar_tail_evals << ","
-     << p.parallel_passes << ","
-     << static_cast<double>(p.reduction_nanos) * 1e-9 << ","
      << static_cast<double>(p.cell_advance_nanos) * 1e-9 << ","
-     << p.idle_cell_skips << ",";
-  // Per-shard score_evals as a ';'-joined list (empty for serial runs) so
-  // the column count stays fixed across thread counts.
-  for (std::size_t i = 0; i < p.shard_score_evals.size(); ++i)
-    os << (i ? ";" : "") << p.shard_score_evals[i];
-  os << "\n";
+     << p.idle_cell_skips << "\n";
   return os.str();
 }
 
@@ -136,7 +126,7 @@ std::string streaming_csv(const RunTag& tag, const sim::SimResult& result,
                           double peak_rss_mb, bool with_header) {
   std::ostringstream os;
   if (with_header) {
-    os << "scheduler,threads,trace,cells,dispatcher,tasks,makespan,passes,"
+    os << "scheduler,trace,cells,dispatcher,tasks,makespan,passes,"
           "jobs_admitted,jobs_retired,peak_resident_jobs,"
           "peak_resident_tasks,stream_deferrals,"
           "pass_p50_ms,pass_p99_ms,wall_seconds,tasks_per_sec,peak_rss_mb\n";

@@ -25,21 +25,20 @@ std::string timeline_csv(const sim::SimResult& result);
 std::string churn_csv(const sim::SimResult& result);
 
 // Identifies the configuration a CSV row came from, so the bench_results
-// tables are self-describing: which scheduler variant produced it, at how
-// many worker threads (0 = serial), whether event tracing was on, and —
-// for federated runs (DESIGN.md §14) — how many cells the cluster was
-// partitioned into and which dispatch policy admitted the jobs. The
-// non-federated defaults are cells = 0 and dispatcher = "global".
+// tables are self-describing: which scheduler variant produced it, whether
+// event tracing was on, and — for federated runs (DESIGN.md §14) — how
+// many cells the cluster was partitioned into and which dispatch policy
+// admitted the jobs. The non-federated defaults are cells = 0 and
+// dispatcher = "global".
 struct RunTag {
   std::string scheduler;
-  int threads = 0;
   bool trace = false;
   int cells = 0;
   std::string dispatcher = "global";
 };
 
 // One row per scheduling pass (needs SimConfig::collect_pass_samples):
-// scheduler, threads, trace, time, backlog, placements, latency in
+// the RunTag columns, then time, backlog, placements and latency in
 // seconds. The raw material of Table 8's latency-vs-backlog curves; rows
 // carry the full RunTag so runs can share one file.
 std::string pass_samples_csv(const RunTag& tag,
@@ -48,14 +47,11 @@ std::string pass_samples_csv(const RunTag& tag,
 
 // Single-row hot-path counter dump (DESIGN.md §8): score evaluations,
 // probes issued/reused, sticky rejections, fit-index skips, and the
-// simulator-side cache hit/miss totals. The trailing parallel-pass
-// columns (DESIGN.md §9) report sharded passes, wall-clock reduction
-// seconds, the federated driver's advance wall clock and idle-cell
-// skips (DESIGN.md §14.5; zero outside simulate_federated), and a
-// ';'-joined per-shard score_evals split (empty when every pass ran
-// serial). The PerfCounters overload serves callers that merged
-// counters across cells (FederatedResult::perf) rather than holding a
-// whole SimResult.
+// simulator-side cache hit/miss totals. The trailing columns report the
+// federated simulator's cell-advance wall clock and idle-cell skips
+// (DESIGN.md §14.5; zero outside simulate_federated). The PerfCounters overload
+// serves callers that merged counters across cells
+// (FederatedResult::perf) rather than holding a whole SimResult.
 std::string perf_counters_csv(const RunTag& tag,
                               const sim::SimResult& result,
                               bool with_header = true);

@@ -94,8 +94,7 @@ std::string chrome_trace_json(const trace::TraceLog& log) {
         os << "{\"ph\":\"i\",\"s\":\"g\",\"pid\":" << kSchedulerPid
            << ",\"tid\":0,\"ts\":" << micros(ev.time)
            << ",\"name\":\"run begin\",\"args\":{\"seed\":" << ev.a
-           << ",\"machines\":" << ev.b << ",\"jobs\":" << ev.c
-           << ",\"threads\":" << ev.d << "}}";
+           << ",\"machines\":" << ev.b << ",\"jobs\":" << ev.c << "}}";
         w.event(os.str());
         break;
       case trace::EventKind::kJobArrival:
@@ -118,15 +117,6 @@ std::string chrome_trace_json(const trace::TraceLog& log) {
            << ",\"name\":\"pass " << ev.a << " end\",\"args\":{\"pass\":"
            << ev.a << ",\"placements\":" << ev.b << ",\"latency_ms\":"
            << num(static_cast<double>(ev.timing) * 1e-6) << "}}";
-        w.event(os.str());
-        break;
-      case trace::EventKind::kShardTiming:
-        os << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kSchedulerPid
-           << ",\"tid\":" << (1 + ev.a) << ",\"ts\":" << micros(ev.time)
-           << ",\"name\":\"shard " << ev.a << "\",\"args\":{\"machines\":\"["
-           << ev.b << "," << ev.c << ")\",\"score_evals\":" << ev.d
-           << ",\"scan_ms\":" << num(static_cast<double>(ev.timing) * 1e-6)
-           << "}}";
         w.event(os.str());
         break;
       case trace::EventKind::kGroupScan:

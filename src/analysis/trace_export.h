@@ -16,8 +16,8 @@ namespace tetris::analysis {
 //  - placements, machine down/up edges and job arrivals are instant
 //    events carrying their decision fields (tier, fairness cut,
 //    alignment, eps*p_hat) as args;
-//  - scheduling passes and shard timings live on a dedicated "scheduler"
-//    process, with measured wall-clock latencies as args;
+//  - scheduling passes live on a dedicated "scheduler" process, with
+//    measured wall-clock latencies as args;
 //  - tracker usage reports become counter ("C") tracks per node.
 // Timestamps are simulation seconds scaled to microseconds.
 std::string chrome_trace_json(const trace::TraceLog& log);

@@ -24,28 +24,28 @@
 #pragma once
 
 #include <limits>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/alignment.h"
 #include "sched/fairness.h"
 #include "sim/scheduler.h"
 #include "util/perf_counters.h"
-#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace tetris::core {
 
-// Scoring-kernel selection (DESIGN.md §12). kOn routes the fused
-// fit-check + alignment evaluations through the structure-of-arrays
-// batch kernel (AVX2/SSE4.2 when the build carries them, portable scalar
-// otherwise); kOff keeps the per-cell scalar loop. Both produce
-// bit-identical schedules — the kernel reproduces the scalar op sequence
-// per lane — so this knob trades nothing but speed. The naive_scoring
-// oracle always scores scalar, whatever this says.
+// Scoring-kernel selection (DESIGN.md §12). The optimized scan scores
+// each wave's admitted cells through the structure-of-arrays batch
+// kernel: kOn flushes them lane_width() at a time (AVX2/SSE4.2 when the
+// build carries them, portable scalar otherwise); kOff flushes them one
+// at a time, so every cell takes the kernel's scalar reference lane.
+// Both produce bit-identical schedules — the kernel reproduces the scalar
+// op sequence per lane — so this knob trades nothing but speed. The
+// naive_scoring oracle scores inline, whatever this says.
 enum class SimdMode {
   kOff = 0,
   kOn = 1,
@@ -125,19 +125,7 @@ struct TetrisConfig {
   // property test enforces it); exists so the oracle stays runnable.
   bool naive_scoring = false;
 
-  // Worker threads for the scheduling pass (DESIGN.md §9). 0 runs the
-  // serial scan exactly as before; N >= 1 partitions each round's
-  // <group, machine> matrix into min(N, machines) contiguous column
-  // shards scanned by a reusable pool, with a deterministic reduction at
-  // the barrier — schedules are bit-identical to the serial path (and to
-  // the naive oracle) for every thread count, which the threaded
-  // equivalence and determinism tests enforce.
-  int num_threads = 0;
-
   // Vectorized scoring kernel (DESIGN.md §12); see SimdMode above.
-  // Composes with num_threads: each column shard drains its own batches,
-  // and the §9 ordered replay keeps the eps-normalizer accumulation in
-  // the serial order either way.
   SimdMode simd = SimdMode::kOn;
 
   std::string name = "tetris";
@@ -170,12 +158,33 @@ class TetrisScheduler final : public sim::Scheduler {
     return (static_cast<long long>(ref.job) << 20) | ref.stage;
   }
 
+  // Pass-local state of one schedule() call (defined in the .cc). The
+  // stages below run in this order; the scan round and the commit repeat
+  // until no candidate remains.
+  struct Pass;
+  bool begin_pass(Pass& p) const;
+  // Tiering: starvation reservation and the per-row selection tiers.
+  int tier_of(const Pass& p, const sim::GroupView& g) const;
+  void assign_tiers(Pass& p) const;
+  // Eligibility: the fairness knob's cut over jobs with pending tasks.
+  std::unordered_set<sim::JobId> eligible_set(const Pass& p) const;
+  void refresh_eligibility(Pass& p) const;
+  void prepare_scan(Pass& p);
+  void recompute_fit_index(Pass& p) const;
+  // Scan round: picks the round's best <group, machine> cell into `p`;
+  // false when no candidate remains.
+  bool scan_round(Pass& p);
+  void scan_naive(Pass& p);
+  void refresh_cell_naive(Pass& p, std::size_t g, int m);
+  void scan_wave(Pass& p, int tier, std::size_t* cutoff);
+  // Commit: place the round's winner and invalidate what it changed.
+  void commit(Pass& p);
+  // Preemption: at most one fairness kill after the last round.
+  void preempt(Pass& p);
+
   TetrisConfig config_;
   Stats stats_;
   util::PerfCounters perf_;
-  // Lazily created on the first pass when num_threads >= 1, then reused
-  // for every subsequent pass; workers idle between passes.
-  std::unique_ptr<util::ThreadPool> pool_;
   // Running average of |alignment| across the scheduler's lifetime; the
   // a_bar of eps = a_bar / p_bar. Frozen at the start of every candidate
   // round so simultaneous candidates are compared under one eps.

@@ -66,38 +66,26 @@ FederatedResult simulate_federated(const FederationConfig& config,
   }
   const int num_cells = static_cast<int>(base.cells.size());
   for (const auto& kill : config.kills) {
-    if (kill.cell < 0 || kill.cell >= num_cells || kill.at < 0) {
+    if (kill.cell < 0 || kill.cell >= num_cells ||
+        !(0 <= kill.at && kill.at < std::numeric_limits<double>::infinity())) {
       throw std::invalid_argument(
-          "FederationConfig: kill needs a valid cell and a time >= 0");
+          "FederationConfig: kill needs a valid cell and a finite time >= 0");
     }
   }
   if (config.cell_threads < 0) {
     throw std::invalid_argument("FederationConfig: negative cell_threads");
   }
 
-  // Nested-parallelism policy (DESIGN.md §14.5). Under cell-parallel
-  // execution the per-cell scheduler defaults to serial passes — the
-  // fan-out already occupies one thread per cell — so an unset
-  // tetris.num_threads does NOT inherit base.num_threads as it does in
-  // the serial lockstep. Explicitly nested settings are checked against
-  // the hardware: silently oversubscribing turns the scaling sweep into
-  // a context-switch benchmark.
+  // Oversubscription guard (DESIGN.md §14.5): more cell threads than
+  // cores turns the scaling sweep into a context-switch benchmark.
   const bool cell_parallel = config.cell_threads > 1;
-  int per_cell_threads = config.tetris.num_threads;
-  if (per_cell_threads == 0 && !cell_parallel) {
-    per_cell_threads = base.num_threads;
-  }
   if (cell_parallel && !config.allow_oversubscription) {
     const unsigned hw = std::thread::hardware_concurrency();
-    const long total = static_cast<long>(config.cell_threads) *
-                       static_cast<long>(std::max(1, per_cell_threads));
-    if (hw > 0 && total > static_cast<long>(hw)) {
+    if (hw > 0 && config.cell_threads > static_cast<long>(hw)) {
       throw std::invalid_argument(
           "FederationConfig: cell_threads=" +
-          std::to_string(config.cell_threads) + " x per-cell threads=" +
-          std::to_string(std::max(1, per_cell_threads)) + " = " +
-          std::to_string(total) + " oversubscribes hardware_concurrency=" +
-          std::to_string(hw) +
+          std::to_string(config.cell_threads) +
+          " oversubscribes hardware_concurrency=" + std::to_string(hw) +
           "; set allow_oversubscription to run anyway");
     }
   }
@@ -130,9 +118,8 @@ FederatedResult simulate_federated(const FederationConfig& config,
             {m, kill.at, kill.at + 2 * base.max_time});
       }
     }
-    core::TetrisConfig tcfg = config.tetris;
-    tcfg.num_threads = per_cell_threads;
-    schedulers.push_back(std::make_unique<core::TetrisScheduler>(tcfg));
+    schedulers.push_back(
+        std::make_unique<core::TetrisScheduler>(config.tetris));
     engines.push_back(
         std::make_unique<sim::SimEngine>(cfg, *schedulers.back(), num_jobs));
   }

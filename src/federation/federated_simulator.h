@@ -31,16 +31,11 @@ struct CellKill {
 
 struct FederationConfig {
   // The global cluster; base.cells must define the partition
-  // (sim::validate_cells rules). Tracker/estimation/trace/thread knobs are
+  // (sim::validate_cells rules). Tracker/estimation/trace knobs are
   // inherited by every cell; each cell seeds its RNG with
   // base.seed + cell_index (cell 0 keeps the base seed).
   sim::SimConfig base;
-  // Per-cell scheduler template. num_threads == 0 falls back to
-  // base.num_threads, mirroring the bench harness — EXCEPT under
-  // cell-parallel execution (cell_threads > 1), where the default is
-  // serial per-cell passes: the fan-out already uses one thread per
-  // cell, and silently multiplying the two knobs would oversubscribe the
-  // machine. Set tetris.num_threads explicitly to nest them.
+  // Per-cell scheduler template.
   core::TetrisConfig tetris;
   DispatchPolicy policy = DispatchPolicy::kLeastLoaded;
   std::uint64_t dispatch_seed = 1;
@@ -53,9 +48,9 @@ struct FederationConfig {
   // are bit-identical at every setting — cells only interact at dispatch
   // and kill instants, and both stay on the driver thread.
   int cell_threads = 0;
-  // Fail-fast guard: cell_threads x max(1, per-cell num_threads) must not
-  // exceed std::thread::hardware_concurrency() (when known) unless this
-  // is set — oversubscribed runs stay bit-identical but measure scheduler
+  // Fail-fast guard: cell_threads must not exceed
+  // std::thread::hardware_concurrency() (when known) unless this is set —
+  // oversubscribed runs stay bit-identical but measure scheduler
   // wall-clock noise, not speedup. Benches that sweep past the core count
   // on purpose set it and say so in their tables.
   bool allow_oversubscription = false;

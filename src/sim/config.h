@@ -78,9 +78,10 @@ struct MachineEvent {
 // combined; overlapping down windows on one machine nest (the machine is
 // up only when every window has closed).
 struct ChurnConfig {
-  // Mean time to failure per machine, seconds. 0 disables random churn.
+  // Mean time to failure per machine, seconds; finite. 0 disables random
+  // churn.
   double mttf = 0;
-  // Mean time to repair, seconds. Must be > 0 when mttf > 0.
+  // Mean time to repair, seconds. Must be finite and > 0 when mttf > 0.
   double mttr = 0;
   std::vector<MachineEvent> scripted;
 
@@ -202,11 +203,6 @@ struct SimConfig {
   // incrementally-invalidated caches. Slower, but trivially correct — the
   // equivalence property test pins the cached path to it bit for bit.
   bool naive_scheduler_view = false;
-
-  // Worker threads for the Tetris scheduling pass (DESIGN.md §9),
-  // forwarded into TetrisConfig::num_threads by the bench harness when
-  // the scheduler config leaves its own knob at 0. 0 = serial scan.
-  int num_threads = 0;
 
   // Structured event tracing (DESIGN.md §10): when trace.enabled, the
   // simulator records every arrival, pass, placement, task transition,

@@ -226,7 +226,7 @@ class SchedulerContext {
   virtual util::PerfCounters* perf_counters() { return nullptr; }
 
   // Event-trace sink (DESIGN.md §10): schedulers record placement
-  // decisions and shard timings here. Null when tracing is disabled.
+  // decisions here. Null when tracing is disabled.
   // Write-only for schedulers, like perf_counters().
   virtual trace::Recorder* tracer() { return nullptr; }
 };

@@ -349,11 +349,7 @@ class Simulator {
   std::vector<char> ramping_;
   // Probes and group estimates are served from state each stage owns
   // (StageState: locality index, probe slots, estimate slot; DESIGN.md
-  // §8.3). Probe hit/miss tallies are per real machine — column shards
-  // own disjoint machines, so concurrent probes never share a counter —
-  // and are summed into SimResult::perf by finalize().
-  std::vector<long> probe_hits_;
-  std::vector<long> probe_misses_;
+  // §8.3).
   std::uint64_t churn_version_ = 0;
   std::uint64_t profile_version_ = 0;
   int runnable_total_ = 0;  // cluster-wide runnable tasks (pass backlog)
@@ -389,9 +385,8 @@ class Simulator {
   std::vector<TaskReport> reports_;
 
   // Event tracing (DESIGN.md §10); null unless SimConfig::trace.enabled.
-  // All simulator-side records happen on the event-loop thread, so the
-  // stream order is deterministic; worker threads only contribute the
-  // shard-timing records the scheduler emits serially at its barrier.
+  // Every record happens on the event-loop thread (the scheduler's
+  // placement records included), so the stream order is deterministic.
   std::unique_ptr<trace::Recorder> tracer_;
   long pass_index_ = 0;
 
@@ -712,12 +707,10 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
 
   // The stage's own state answers: its locality index names the
   // candidate, and this machine's slot replays the probe while the
-  // candidate and every other input of the probe are unchanged. Only
-  // this machine's slot and tally are written, so column shards probing
-  // disjoint machines share nothing mutable.
+  // candidate and every other input of the probe are unchanged.
   const auto m = static_cast<std::size_t>(machine);
   if (stage.probe_slots.empty()) {  // no runnable task left
-    sim_.probe_misses_[m]++;
+    sim_.perf_.probe_cache_misses++;
     return;
   }
   const int pos = stage.locality.best(machine);
@@ -734,11 +727,11 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
     // A twin of the slot's candidate probes identically but for its index.
     slot.candidate = candidate;
     slot.probe.task_index = candidate;
-    sim_.probe_hits_[m]++;
+    sim_.perf_.probe_cache_hits++;
     p = slot.probe;
     return;
   }
-  sim_.probe_misses_[m]++;
+  sim_.perf_.probe_cache_misses++;
   if (candidate >= 0) {
     sim_.build_probe(job, group.stage, candidate, machine,
                      stage.locality.best_frac(machine), p);
@@ -936,21 +929,36 @@ void Simulator::init_cluster() {
   }
   const auto caps = config_.resolved_capacities();
   if (caps.empty()) throw std::invalid_argument("no machines configured");
+  // Each check states the legal range positively, so NaN — which fails
+  // every comparison — is rejected along with out-of-range values.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // An uplink's capacity is the rack's NIC total / rack_oversubscription.
   if (config_.machines_per_rack < 0 ||
-      (config_.machines_per_rack > 0 && config_.rack_oversubscription <= 0)) {
-    throw std::invalid_argument("bad rack topology configuration");
+      (config_.machines_per_rack > 0 &&
+       !(0 < config_.rack_oversubscription &&
+         config_.rack_oversubscription < kInf))) {
+    throw std::invalid_argument(
+        "bad rack topology configuration: machines_per_rack must be >= 0 "
+        "and rack_oversubscription finite and > 0");
   }
-  // Heartbeats re-arm at now + period: a zero, negative or NaN period
-  // would stall virtual time, and with it max_time, forever.
-  if (!(config_.heartbeat_period > 0 &&
-        config_.heartbeat_period < std::numeric_limits<double>::infinity())) {
+  // Heartbeats and timeline samples re-arm at now + period: a zero,
+  // negative or NaN period would stall virtual time, and with it
+  // max_time, forever.
+  if (!(0 < config_.heartbeat_period && config_.heartbeat_period < kInf)) {
     throw std::invalid_argument(
         "SimConfig: heartbeat_period must be finite and > 0");
   }
-  if (config_.churn.mttf < 0 || config_.churn.mttr < 0 ||
-      (config_.churn.mttf > 0 && config_.churn.mttr <= 0)) {
+  if (!(0 < config_.timeline_period && config_.timeline_period < kInf)) {
     throw std::invalid_argument(
-        "ChurnConfig: mttf/mttr must be >= 0 and mttr > 0 when mttf > 0");
+        "SimConfig: timeline_period must be finite and > 0");
+  }
+  if (!(0 <= config_.churn.mttf && config_.churn.mttf < kInf)) {
+    throw std::invalid_argument("ChurnConfig: mttf must be finite and >= 0");
+  }
+  if (config_.churn.mttf > 0 &&
+      !(0 < config_.churn.mttr && config_.churn.mttr < kInf)) {
+    throw std::invalid_argument(
+        "ChurnConfig: mttr must be finite and > 0 when mttf > 0");
   }
   // Machine labels must cover the cluster exactly or not at all — a
   // partial list would silently leave machines unlabeled, the same class
@@ -1013,8 +1021,6 @@ void Simulator::init_cluster() {
 
   alloc_est_.assign(machines_.size(), Resources{});
   hosted_count_.assign(machines_.size(), 0);
-  probe_hits_.assign(static_cast<std::size_t>(num_real_machines_), 0);
-  probe_misses_.assign(static_cast<std::size_t>(num_real_machines_), 0);
   dirty_flags_.assign(machines_.size(), 0);
   avail_cache_.assign(machines_.size(), Resources{});
   avail_dirty_.assign(machines_.size(), 1);  // first pass computes all
@@ -1036,10 +1042,10 @@ void Simulator::init_cluster() {
   churn_events_ = config_.churn.scripted;
   for (const auto& ev : churn_events_) {
     if (ev.machine < 0 || ev.machine >= num_real_machines_ ||
-        ev.down_at < 0 || ev.up_at <= ev.down_at) {
+        !(0 <= ev.down_at && ev.down_at < ev.up_at && ev.up_at < kInf)) {
       throw std::invalid_argument(
           "ChurnConfig: scripted event needs a valid machine and "
-          "down_at < up_at");
+          "finite 0 <= down_at < up_at");
     }
   }
   if (config_.churn.mttf > 0) {
@@ -1346,7 +1352,6 @@ void Simulator::prepare(Scheduler& scheduler) {
     ev.a = static_cast<std::int64_t>(config_.seed);
     ev.b = num_real_machines_;
     ev.c = static_cast<std::int64_t>(total_jobs_);
-    ev.d = config_.num_threads;
     ev.e = config_.naive_scheduler_view ? 1 : 0;
     tracer_->record(ev);
   }
@@ -1529,10 +1534,6 @@ SimResult Simulator::finalize() {
               });
   }
   result_.perf = perf_;
-  for (std::size_t m = 0; m < probe_hits_.size(); ++m) {
-    result_.perf.probe_cache_hits += probe_hits_[m];
-    result_.perf.probe_cache_misses += probe_misses_[m];
-  }
   result_.makespan =
       last_finish_ -
       (std::isfinite(first_arrival_) ? first_arrival_ : 0.0);

@@ -9,7 +9,6 @@ const char* kind_name(EventKind kind) {
     case EventKind::kRunBegin: return "run_begin";
     case EventKind::kJobArrival: return "job_arrival";
     case EventKind::kPassBegin: return "pass_begin";
-    case EventKind::kShardTiming: return "shard_timing";
     case EventKind::kGroupScan: return "group_scan";
     case EventKind::kPlacement: return "placement";
     case EventKind::kTaskStart: return "task_start";
@@ -50,17 +49,13 @@ std::string describe(const Event& ev) {
   switch (ev.kind) {
     case EventKind::kRunBegin:
       out << " seed=" << ev.a << " machines=" << ev.b << " jobs=" << ev.c
-          << " threads=" << ev.d << " naive=" << ev.e;
+          << " naive=" << ev.e;
       break;
     case EventKind::kJobArrival:
       out << " job=" << ev.a;
       break;
     case EventKind::kPassBegin:
       out << " pass=" << ev.a << " backlog=" << ev.b;
-      break;
-    case EventKind::kShardTiming:
-      out << " shard=" << ev.a << " machines=[" << ev.b << "," << ev.c
-          << ") evals=" << ev.d << " nanos=" << ev.timing;
       break;
     case EventKind::kGroupScan:
       out << " job=" << ev.a << " stage=" << ev.b << " machine=" << ev.c

@@ -13,15 +13,13 @@ namespace tetris::trace {
 // are elided on the wire (see wire.h). Keeping the record POD-flat lets the
 // recorder encode without allocation and keeps replay comparison trivial.
 enum class EventKind : std::uint8_t {
-  // a=seed, b=num_machines, c=num_jobs, d=num_threads, e=naive(0/1)
+  // a=seed, b=num_machines, c=num_jobs, e=naive(0/1)
   kRunBegin = 0,
   // a=job id
   kJobArrival = 1,
   // a=pass index, b=backlog (runnable tasks at pass start)
   kPassBegin = 2,
-  // a=shard index, b=first machine, c=last machine (exclusive),
-  // d=score evaluations; timing=worker wall-clock nanos (non-semantic)
-  kShardTiming = 3,
+  // 3 is retired (per-shard scan timing); never reuse it.
   // Baseline schedulers' machine scan (sched/common.cc):
   // a=job, b=stage, c=chosen machine (-1 none), d=machines scanned
   kGroupScan = 4,
@@ -50,6 +48,12 @@ enum class EventKind : std::uint8_t {
 };
 
 inline constexpr int kNumEventKinds = 14;
+
+// True for the wire numbers of the kinds above: below kNumEventKinds and
+// not the retired 3. Decoders reject every other kind byte.
+inline constexpr bool is_known_kind(int kind) {
+  return kind >= 0 && kind < kNumEventKinds && kind != 3;
+}
 
 // Why a task attempt was killed (kTaskKill field f).
 enum class KillReason : std::uint8_t {

@@ -8,14 +8,13 @@ namespace tetris::trace {
 
 bool is_decision_event(EventKind kind) {
   switch (kind) {
-    case EventKind::kShardTiming:
     case EventKind::kGroupScan:
     case EventKind::kUsageReport:
       return false;
     case EventKind::kRunBegin:
-      // Run *metadata*, not a decision: its thread-count and naive-mode
-      // fields differ between configurations whose schedules must still
-      // compare identical under kDecisions.
+      // Run *metadata*, not a decision: its naive-mode field differs
+      // between configurations whose schedules must still compare
+      // identical under kDecisions.
       return false;
     default:
       return true;

@@ -17,11 +17,11 @@ namespace tetris::trace {
 //
 // kDecisions first filters both streams down to schedule-derived events —
 // arrivals, pass begin/end, placements, task start/finish/kill, machine
-// down/up, run end — dropping kShardTiming (absent in serial runs),
-// kGroupScan, kUsageReport, and kRunBegin (whose thread-count/naive-mode
-// metadata differs between configurations by construction). This is the
-// cross-configuration contract: {naive, opt} x {serial, N threads} must
-// agree on every decision even though their instrumentation differs.
+// down/up, run end — dropping kGroupScan, kUsageReport, and kRunBegin
+// (whose naive-mode metadata differs between configurations by
+// construction). This is the cross-configuration contract: {naive, opt} x
+// {simd off, on} must agree on every decision even though their
+// instrumentation differs.
 enum class CompareMode { kFull, kDecisions };
 
 bool is_decision_event(EventKind kind);

@@ -127,7 +127,7 @@ inline void encode_event(std::vector<std::uint8_t>& out, const Event& ev) {
 inline bool decode_event(Reader& in, Event* ev) {
   const std::uint8_t kind = in.get_u8();
   const std::uint64_t mask = in.get_varint();
-  if (!in.ok || kind >= kNumEventKinds || (mask >> 11) != 0) return false;
+  if (!in.ok || !is_known_kind(kind) || (mask >> 11) != 0) return false;
   ev->kind = static_cast<EventKind>(kind);
   ev->time = in.get_f64();
   std::int64_t* ints[6] = {&ev->a, &ev->b, &ev->c, &ev->d, &ev->e, &ev->f};

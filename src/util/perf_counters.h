@@ -6,9 +6,6 @@
 // scheduling decision, or the naive/optimized equivalence oracle breaks.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
 namespace tetris::util {
 
 struct PerfCounters {
@@ -20,11 +17,10 @@ struct PerfCounters {
   long fit_index_skips = 0;  // cells skipped by the free-capacity index
   long row_skips = 0;        // cells skipped: whole row fresh-and-rejected
 
-  // SIMD scoring kernel (DESIGN.md §12). Unlike every other scan counter
-  // these two depend on how cells group into vector blocks, which follows
-  // shard boundaries — so they are stable for a fixed configuration but
-  // legitimately differ across thread counts (and are excluded from the
-  // cross-thread-count counter assertions).
+  // SIMD scoring kernel (DESIGN.md §12). Every cell the optimized scan
+  // scores is one kernel lane, so on that path
+  // simd_blocks * lane_width() + scalar_tail_evals == score_evals; with
+  // simd off every lane is a scalar-tail lane.
   long simd_blocks = 0;        // full-width vector blocks evaluated
   long scalar_tail_evals = 0;  // batch lanes evaluated on the scalar tail
 
@@ -35,15 +31,6 @@ struct PerfCounters {
   long estimate_cache_misses = 0;  // group-estimate recomputes
   long avail_cache_hits = 0;       // machines whose availability was reused
   long avail_recomputes = 0;       // machines rescanned by the tracker
-
-  // Parallel-pass bookkeeping (DESIGN.md §9). reduction_nanos is wall
-  // clock inside the reduction barriers (merge + ordered replay), so it
-  // is the one counter that legitimately varies between repeated runs;
-  // everything else is deterministic for a fixed thread count.
-  long parallel_passes = 0;  // passes scanned with the sharded path
-  long reduction_nanos = 0;  // wall clock spent in reduction barriers
-  // score_evals split by column shard; empty when every pass ran serial.
-  std::vector<long> shard_score_evals;
 
   // Streaming-ingestion bookkeeping (DESIGN.md §11); all zero in batch
   // mode. Peaks merge with max under +=, so aggregated counters report
@@ -59,13 +46,15 @@ struct PerfCounters {
 
   // Federated driver bookkeeping (DESIGN.md §14.5); all zero outside
   // simulate_federated. cell_advance_nanos is wall clock inside the
-  // per-event advance fan-out (serial loop or pool barrier), so like
-  // reduction_nanos it varies between repeated runs; idle_cell_skips —
+  // per-event advance fan-out (serial loop or pool barrier), so it is
+  // the one counter that varies between repeated runs; idle_cell_skips —
   // live cells whose advance was skipped because they were quiescent up
   // to the event time with an empty admission queue — is deterministic
   // for a fixed configuration and identical at every cell_threads count.
   long cell_advance_nanos = 0;  // wall clock advancing cells per event
   long idle_cell_skips = 0;     // quiescent cells skipped by the driver
+
+  friend bool operator==(const PerfCounters&, const PerfCounters&) = default;
 
   PerfCounters& operator+=(const PerfCounters& o) {
     score_evals += o.score_evals;
@@ -82,8 +71,6 @@ struct PerfCounters {
     estimate_cache_misses += o.estimate_cache_misses;
     avail_cache_hits += o.avail_cache_hits;
     avail_recomputes += o.avail_recomputes;
-    parallel_passes += o.parallel_passes;
-    reduction_nanos += o.reduction_nanos;
     jobs_admitted += o.jobs_admitted;
     jobs_retired += o.jobs_retired;
     peak_resident_jobs = peak_resident_jobs > o.peak_resident_jobs
@@ -95,10 +82,6 @@ struct PerfCounters {
     stream_deferrals += o.stream_deferrals;
     cell_advance_nanos += o.cell_advance_nanos;
     idle_cell_skips += o.idle_cell_skips;
-    if (shard_score_evals.size() < o.shard_score_evals.size())
-      shard_score_evals.resize(o.shard_score_evals.size(), 0);
-    for (std::size_t i = 0; i < o.shard_score_evals.size(); ++i)
-      shard_score_evals[i] += o.shard_score_evals[i];
     return *this;
   }
 };

@@ -1,7 +1,8 @@
-// Fixed-size thread pool for the scheduler's sharded scans (DESIGN.md
-// §9): one blocking parallel_for at a time, no task queue, no work
-// stealing. Workers are started once and reused across scheduling passes
-// — thread creation per pass would dwarf a sub-millisecond scan.
+// Fixed-size thread pool for the federated simulator's per-cell fan-out
+// (DESIGN.md §14.5): one blocking parallel_for at a time, no task queue,
+// no work stealing. Workers are started once and reused across arrival
+// and kill events — thread creation per event would dwarf the advance it
+// runs.
 #pragma once
 
 #include <atomic>

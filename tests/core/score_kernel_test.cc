@@ -235,8 +235,9 @@ TEST(SimdModeTest, SchedulerRejectsOutOfRangeMode) {
 // --- scalar-tail simulation equivalence ---
 
 // Machine counts 7 and 13 are coprime to every lane width (2, 4), so the
-// per-shard batches continually end in partial blocks: the scalar tail and
-// the vector body must interleave without disturbing bit-identity.
+// wave batches continually end in partial blocks: the scalar tail and the
+// vector body must interleave without disturbing bit-identity. With simd
+// off every lane is a tail lane.
 TEST(ScoreKernelTailTest, OddMachineCountsStayBitIdentical) {
   for (const int machines : {7, 13}) {
     workload::SuiteConfig wcfg;
@@ -247,7 +248,7 @@ TEST(ScoreKernelTailTest, OddMachineCountsStayBitIdentical) {
     wcfg.seed = 5;
     const sim::Workload w = workload::make_suite_workload(wcfg);
 
-    const auto run = [&](bool naive, SimdMode simd, int threads) {
+    const auto run = [&](bool naive, SimdMode simd) {
       sim::SimConfig cfg;
       cfg.num_machines = machines;
       cfg.machine_capacity = workload::facebook_machine();
@@ -255,26 +256,29 @@ TEST(ScoreKernelTailTest, OddMachineCountsStayBitIdentical) {
       core::TetrisConfig tcfg;
       tcfg.naive_scoring = naive;
       tcfg.simd = simd;
-      tcfg.num_threads = threads;
       core::TetrisScheduler sched(tcfg);
       return sim::simulate(cfg, w, sched);
     };
 
-    const sim::SimResult oracle = run(true, SimdMode::kOff, 0);
-    for (const int threads : {0, 8}) {
-      const sim::SimResult r = run(false, SimdMode::kOn, threads);
+    const sim::SimResult oracle = run(true, SimdMode::kOff);
+    for (const SimdMode simd : {SimdMode::kOff, SimdMode::kOn}) {
+      const sim::SimResult r = run(false, simd);
       ASSERT_EQ(r.tasks.size(), oracle.tasks.size())
-          << machines << " machines, " << threads << " threads";
+          << machines << " machines, simd " << simd_mode_name(simd);
       for (std::size_t i = 0; i < r.tasks.size(); ++i) {
         EXPECT_EQ(r.tasks[i].host, oracle.tasks[i].host) << i;
         EXPECT_EQ(r.tasks[i].start, oracle.tasks[i].start) << i;
         EXPECT_EQ(r.tasks[i].finish, oracle.tasks[i].finish) << i;
       }
       EXPECT_EQ(r.makespan, oracle.makespan);
-      if (core::simd::lane_width() > 1) {
+      EXPECT_EQ(r.perf.simd_blocks * core::simd::lane_width() +
+                    r.perf.scalar_tail_evals,
+                r.perf.score_evals);
+      if (simd == SimdMode::kOff) {
+        EXPECT_EQ(r.perf.simd_blocks, 0);
+      } else if (core::simd::lane_width() > 1) {
         // Odd machine counts must actually exercise the tail.
-        EXPECT_GT(r.perf.scalar_tail_evals, 0)
-            << machines << " machines, " << threads << " threads";
+        EXPECT_GT(r.perf.scalar_tail_evals, 0) << machines << " machines";
       }
     }
   }

@@ -11,6 +11,7 @@
 
 #include "sim/simulator.h"
 #include "tests/support/fake_context.h"
+#include "trace/recorder.h"
 #include "util/units.h"
 
 namespace tetris::core {
@@ -87,9 +88,6 @@ TEST(TetrisConfig, RejectsOutOfRangeKnobs) {
   bad = TetrisConfig{};
   bad.srtf_weight = -1;
   EXPECT_THROW(TetrisScheduler{bad}, std::invalid_argument);
-  bad = TetrisConfig{};
-  bad.num_threads = -2;
-  EXPECT_THROW(TetrisScheduler{bad}, std::invalid_argument);
 }
 
 // Every numeric knob against NaN, +-inf and a negative value. Range checks
@@ -125,11 +123,6 @@ TEST(TetrisConfig, RejectsNaNInfiniteAndNegativeKnobs) {
             << k.name << " = " << v;
       }
     }
-  }
-  for (const int threads : {-1, std::numeric_limits<int>::min()}) {
-    TetrisConfig cfg;
-    cfg.num_threads = threads;
-    EXPECT_THROW(TetrisScheduler{cfg}, std::invalid_argument) << threads;
   }
 }
 
@@ -789,6 +782,66 @@ TEST(TetrisHotPath, FitIndexIgnoresDownMachines) {
   EXPECT_TRUE(ctx.placements.empty());
   EXPECT_EQ(ctx.probe_count(), 0);
   EXPECT_GT(opt.perf().fit_index_skips, 0);
+}
+
+// The optimized scan scores a round in tier-descending waves, so a tier-1
+// row's |a| values reach the eps normalizer before those of tier-0 rows
+// above it; the round-end replay must restore the naive row order. Here
+// the naive order adds 1, 2^-53, 2^-53, 2^-53 (sum 1, each tiny term
+// rounding away) while wave order adds 2^-53, 2^-53, 1, 2^-53 (sum
+// 1 + 2^-51). The second placement's SRTF term y = eps * p_hat reads that
+// sum, so it tells the two orders apart.
+TEST(TetrisHotPath, WavesReplayEpsInNaiveRowOrder) {
+  const auto placements = [](bool naive, SimdMode simd) {
+    constexpr double kTiny = 0x1p-53;
+    const auto cpu = [](double cores) {
+      Resources d;
+      d[Resource::kCpu] = cores;
+      return d;
+    };
+    test::FakeContext ctx({Resources::uniform(1), Resources::uniform(1)});
+    // Row 0, tier 0: |a| = 1 on machine 0 and 2^-53 on machine 1.
+    ctx.add_group(0, 0, 1, cpu(1)).demand_on[1] = cpu(kTiny);
+    // Row 1, tier 1 (its stage is 90% done): |a| = 2^-53 on both. It wins
+    // round 1 on machine 0; row 0 wins round 2 under the new eps.
+    auto& straggler = ctx.add_group(1, 0, 1, cpu(kTiny));
+    straggler.view.finished = 9;
+    straggler.view.total = 10;
+    ctx.job(0).remaining_work = 1;
+    ctx.job(1).remaining_work = 1;
+    trace::TraceConfig tc;
+    tc.enabled = true;
+    trace::Recorder rec(tc);
+    ctx.set_tracer(&rec);
+    TetrisConfig tcfg;
+    tcfg.naive_scoring = naive;
+    tcfg.simd = simd;
+    TetrisScheduler sched(tcfg);
+    sched.schedule(ctx);
+    std::vector<trace::Event> out;
+    for (const auto& ev : rec.take_log().events) {
+      if (ev.kind == trace::EventKind::kPlacement) out.push_back(ev);
+    }
+    return out;
+  };
+
+  const auto oracle = placements(/*naive=*/true, SimdMode::kOff);
+  ASSERT_EQ(oracle.size(), 2u);
+  EXPECT_EQ(oracle[0].a, 1);  // the straggler first
+  EXPECT_EQ(oracle[0].e, 1);
+  EXPECT_EQ(oracle[1].a, 0);
+  EXPECT_EQ(oracle[1].y, 0.25);  // eps = (1 / 4 scores) / p_bar, p_hat = 1
+  for (const SimdMode simd : {SimdMode::kOff, SimdMode::kOn}) {
+    SCOPED_TRACE(simd_mode_name(simd));
+    const auto opt = placements(/*naive=*/false, simd);
+    ASSERT_EQ(opt.size(), oracle.size());
+    for (std::size_t i = 0; i < opt.size(); ++i) {
+      EXPECT_EQ(opt[i].a, oracle[i].a) << i;
+      EXPECT_EQ(opt[i].d, oracle[i].d) << i;
+      EXPECT_EQ(opt[i].x, oracle[i].x) << i;
+      EXPECT_EQ(opt[i].y, oracle[i].y) << i;
+    }
+  }
 }
 
 }  // namespace

@@ -292,31 +292,109 @@ TEST(Simulator, InvalidWorkloadThrows) {
   EXPECT_THROW(simulate(small_cluster(1), w, sched), std::invalid_argument);
 }
 
-// Heartbeats re-arm at now + period: a zero period used to hang simulate()
-// (virtual time never advanced, so max_time never fired), and NaN or
-// negative periods were just as broken. Every entry point must refuse
-// them up front.
+// Heartbeats and timeline samples re-arm at now + period: a zero period
+// used to hang simulate() (virtual time never advanced, so max_time never
+// fired), and NaN or negative periods were just as broken. Every entry
+// point must refuse them up front — federated cells always sample the
+// timeline.
 TEST(Simulator, RejectsNonPositiveOrNonFiniteHeartbeatPeriod) {
   Workload w;
   JobSpec job;
   job.name = "j";
   job.stages.push_back({"s", {cpu_task(1, 1, 5)}, {}});
   w.jobs.push_back(job);
-  for (const double period : {0.0, -1.0,
-                              std::numeric_limits<double>::quiet_NaN(),
-                              std::numeric_limits<double>::infinity()}) {
-    SimConfig cfg = small_cluster(2);
-    cfg.heartbeat_period = period;
-    GreedyFitScheduler sched;
-    EXPECT_THROW(simulate(cfg, w, sched), std::invalid_argument) << period;
-    WorkloadJobSource source(w);
-    EXPECT_THROW(simulate_stream(cfg, source, sched), std::invalid_argument)
-        << period;
-    federation::FederationConfig fc;
-    fc.base = cfg;
-    fc.base.cells = {{0, 1}, {1, 2}};
-    EXPECT_THROW(federation::simulate_federated(fc, w), std::invalid_argument)
-        << period;
+  struct Period {
+    const char* name;
+    double SimConfig::*field;
+  };
+  const Period periods[] = {
+      {"heartbeat_period", &SimConfig::heartbeat_period},
+      {"timeline_period", &SimConfig::timeline_period},
+  };
+  for (const Period& knob : periods) {
+    for (const double period : {0.0, -1.0,
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+      SimConfig cfg = small_cluster(2);
+      cfg.collect_timeline = true;
+      cfg.*knob.field = period;
+      GreedyFitScheduler sched;
+      EXPECT_THROW(simulate(cfg, w, sched), std::invalid_argument)
+          << knob.name << " = " << period;
+      WorkloadJobSource source(w);
+      EXPECT_THROW(simulate_stream(cfg, source, sched), std::invalid_argument)
+          << knob.name << " = " << period;
+      federation::FederationConfig fc;
+      fc.base = cfg;
+      fc.base.cells = {{0, 1}, {1, 2}};
+      EXPECT_THROW(federation::simulate_federated(fc, w),
+                   std::invalid_argument)
+          << knob.name << " = " << period;
+    }
+  }
+}
+
+// Churn, rack and cell-kill times against NaN, +-inf and a negative value.
+// Checks written `x < 0` let NaN through: a NaN mttr scheduled recoveries
+// at NaN time, a NaN rack_oversubscription gave every uplink NaN
+// capacity. Every value must be rejected.
+TEST(Simulator, RejectsNaNInfiniteAndNegativeChurnRackAndKillTimes) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Workload w;
+  JobSpec job;
+  StageSpec stage;
+  stage.tasks = {cpu_task(1, 1, 5)};
+  job.stages.push_back(stage);
+  w.jobs.push_back(job);
+  struct Knob {
+    const char* name;
+    void (*set)(federation::FederationConfig&, double);
+  };
+  const Knob knobs[] = {
+      {"churn.mttf",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.churn.mttf = v;
+         fc.base.churn.mttr = 10;
+       }},
+      {"churn.mttr",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.churn.mttf = 100;
+         fc.base.churn.mttr = v;
+       }},
+      {"scripted down_at",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.churn.scripted = {{0, v, 5.0}};
+       }},
+      {"scripted up_at",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.churn.scripted = {{0, 1.0, v}};
+       }},
+      {"rack_oversubscription",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.machines_per_rack = 1;
+         fc.base.rack_oversubscription = v;
+       }},
+      {"CellKill::at",
+       [](federation::FederationConfig& fc, double v) {
+         fc.kills = {{1, v}};
+       }},
+  };
+  for (const Knob& k : knobs) {
+    for (const double v : {kNaN, kInf, -kInf, -1.0}) {
+      federation::FederationConfig fc;
+      fc.base = small_cluster(2);
+      k.set(fc, v);
+      if (fc.kills.empty()) {
+        GreedyFitScheduler sched;
+        EXPECT_THROW(simulate(fc.base, w, sched), std::invalid_argument)
+            << k.name << " = " << v;
+      }
+      fc.base.cells = {{0, 1}, {1, 2}};
+      EXPECT_THROW(federation::simulate_federated(fc, w),
+                   std::invalid_argument)
+          << k.name << " = " << v;
+    }
   }
 }
 

@@ -176,6 +176,8 @@ class FakeContext final : public sim::SchedulerContext {
   void add_running(const sim::RunningTaskView& v) { running_.push_back(v); }
 
   std::vector<sim::TaskReport> take_reports() override { return {}; }
+  trace::Recorder* tracer() override { return tracer_; }
+  void set_tracer(trace::Recorder* tracer) { tracer_ = tracer; }
 
   // --- inspection ---
   std::vector<sim::Probe> placements;
@@ -192,6 +194,7 @@ class FakeContext final : public sim::SchedulerContext {
   std::vector<sim::RunningTaskView> running_;
   std::set<sim::MachineId> down_;
   SimTime now_ = 0;
+  trace::Recorder* tracer_ = nullptr;
   mutable long probes_ = 0;
 };
 

@@ -1,10 +1,9 @@
 // The replay contract, end to end (DESIGN.md §10): a simulation run with
 // tracing enabled, re-executed from the recorded seed and configuration,
 // must reproduce the identical event stream — every placement with its
-// alignment score, every task start/finish, every churn edge, at any
-// thread count. These are the issue's acceptance tests; the equivalence
-// test covers the cross-configuration (naive/opt x serial/threads)
-// decision contract.
+// alignment score, every task start/finish, every churn edge. The
+// equivalence test covers the cross-configuration (naive/opt x simd
+// off/on) decision contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,14 +31,12 @@ long count_kind(const trace::TraceLog& log, trace::EventKind kind) {
 
 // A full traced Tetris run of the paper's §2.1 motivating workload,
 // rebuilt from scratch per call — the shape every replay rerun must have.
-sim::SimResult run_motivating(std::uint64_t seed, int threads) {
+sim::SimResult run_motivating(std::uint64_t seed) {
   auto ex = workload::make_motivating_example();
   ex.config.seed = seed;
   ex.config.trace.enabled = true;
   ex.config.trace.max_chunks_per_thread = 1024;
-  core::TetrisConfig tcfg;
-  tcfg.num_threads = threads;
-  core::TetrisScheduler tetris(tcfg);
+  core::TetrisScheduler tetris;
   return sim::simulate(ex.config, ex.workload, tetris);
 }
 
@@ -64,57 +61,44 @@ sim::Workload facebook_load(std::uint64_t seed) {
   return workload::make_facebook_workload(cfg);
 }
 
-sim::SimResult run_facebook(std::uint64_t seed, int threads,
-                            bool traced = true) {
+sim::SimResult run_facebook(std::uint64_t seed, bool traced = true) {
   const sim::Workload w = facebook_load(seed);
-  core::TetrisConfig tcfg;
-  tcfg.num_threads = threads;
-  core::TetrisScheduler tetris(tcfg);
+  core::TetrisScheduler tetris;
   return sim::simulate(facebook_config(seed, traced), w, tetris);
 }
 
-class ReplayThreads : public ::testing::TestWithParam<int> {};
-
 // Acceptance: the Replayer reproduces a recorded motivating-workload run
 // event for event.
-TEST_P(ReplayThreads, MotivatingWorkloadReplaysEventForEvent) {
-  const int threads = GetParam();
-  const sim::SimResult recorded = run_motivating(/*seed=*/1, threads);
+TEST(Replay, MotivatingWorkloadReplaysEventForEvent) {
+  const sim::SimResult recorded = run_motivating(/*seed=*/1);
   ASSERT_FALSE(recorded.trace_log.events.empty());
   ASSERT_EQ(recorded.trace_log.dropped, 0u);
 
   trace::Replayer rp(recorded.trace_log);
   const trace::ReplayReport report = rp.replay(
-      [&] { return run_motivating(rp.recorded().seed, threads).trace_log; });
+      [&] { return run_motivating(rp.recorded().seed).trace_log; });
   EXPECT_TRUE(report.ok) << report.message;
   EXPECT_EQ(report.events_compared, recorded.trace_log.events.size());
 }
 
 // Acceptance: same for the Facebook-like heavy-tailed workload.
-TEST_P(ReplayThreads, FacebookWorkloadReplaysEventForEvent) {
-  const int threads = GetParam();
-  const sim::SimResult recorded = run_facebook(/*seed=*/1, threads);
+TEST(Replay, FacebookWorkloadReplaysEventForEvent) {
+  const sim::SimResult recorded = run_facebook(/*seed=*/1);
   ASSERT_FALSE(recorded.trace_log.events.empty());
   ASSERT_EQ(recorded.trace_log.dropped, 0u);
 
   trace::Replayer rp(recorded.trace_log);
   const trace::ReplayReport report = rp.replay(
-      [&] { return run_facebook(rp.recorded().seed, threads).trace_log; });
+      [&] { return run_facebook(rp.recorded().seed).trace_log; });
   EXPECT_TRUE(report.ok) << report.message;
   EXPECT_EQ(report.events_compared, recorded.trace_log.events.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(SerialAndSharded, ReplayThreads,
-                         ::testing::Values(1, 8),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return std::to_string(info.param) + "threads";
-                         });
-
 TEST(Replay, DetectsARunFromADifferentSeed) {
-  const sim::SimResult recorded = run_facebook(/*seed=*/1, /*threads=*/0);
+  const sim::SimResult recorded = run_facebook(/*seed=*/1);
   trace::Replayer rp(recorded.trace_log);
   const trace::ReplayReport report =
-      rp.replay([&] { return run_facebook(/*seed=*/2, 0).trace_log; });
+      rp.replay([&] { return run_facebook(/*seed=*/2).trace_log; });
   EXPECT_FALSE(report.ok);
   EXPECT_FALSE(report.divergence.identical);
   // kRunBegin carries the seed, so the divergence surfaces immediately.
@@ -125,7 +109,7 @@ TEST(Replay, DetectsARunFromADifferentSeed) {
 // The stream must agree with the result object it rode along with: the
 // trace is an account of the run, not an approximation of it.
 TEST(Replay, EventStreamIsConsistentWithSimResult) {
-  const sim::SimResult r = run_facebook(/*seed=*/1, /*threads=*/0);
+  const sim::SimResult r = run_facebook(/*seed=*/1);
   const trace::TraceLog& log = r.trace_log;
   ASSERT_TRUE(r.completed);
   ASSERT_EQ(log.dropped, 0u);
@@ -155,26 +139,8 @@ TEST(Replay, EventStreamIsConsistentWithSimResult) {
   EXPECT_EQ(count_kind(log, trace::EventKind::kTaskKill), 0);
   EXPECT_EQ(count_kind(log, trace::EventKind::kMachineDown), 0);
 
-  // Serial run: no shard instrumentation.
-  EXPECT_EQ(count_kind(log, trace::EventKind::kShardTiming), 0);
-
   const trace::Event& end = log.events.back();
   EXPECT_EQ(end.x, r.makespan);
-}
-
-TEST(Replay, ShardTimingsAppearOnlyInParallelRunsAndStayDeterministic) {
-  const sim::SimResult r = run_facebook(/*seed=*/1, /*threads=*/8);
-  EXPECT_GT(count_kind(r.trace_log, trace::EventKind::kShardTiming), 0);
-
-  // Shard wall-clock lives in `timing` and is excluded from comparison, so
-  // even the instrumentation events replay exactly (kFull, not only
-  // kDecisions) — covered by the acceptance tests above. Here: the
-  // decision stream must also match the serial run's.
-  const sim::SimResult serial = run_facebook(/*seed=*/1, /*threads=*/0);
-  const trace::Divergence d =
-      trace::first_divergence(serial.trace_log, r.trace_log,
-                              trace::CompareMode::kDecisions);
-  EXPECT_TRUE(d.identical) << d.description;
 }
 
 TEST(Replay, ChurnRunsRecordMachineEdgesAndKillReasons) {
@@ -224,7 +190,7 @@ TEST(Replay, BaselineSchedulersRecordGroupScansNotPlacements) {
 
 TEST(Replay, DisabledTracingYieldsAnEmptyLog) {
   const sim::SimResult r =
-      run_facebook(/*seed=*/1, /*threads=*/0, /*traced=*/false);
+      run_facebook(/*seed=*/1, /*traced=*/false);
   EXPECT_TRUE(r.trace_log.events.empty());
   EXPECT_EQ(r.trace_log.dropped, 0u);
   EXPECT_TRUE(r.trace_log.scheduler.empty());

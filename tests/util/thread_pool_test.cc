@@ -1,7 +1,7 @@
-// ThreadPool unit layer (DESIGN.md §9): lifecycle, exception propagation
-// out of workers, and the deadlock-prone corners — empty batches and
-// nested submits from inside a worker — that a scheduling pass would hit
-// in the wild. All tests must also run clean under TSan (`ctest -L tsan`).
+// ThreadPool unit layer (DESIGN.md §14.5): lifecycle, exception
+// propagation out of workers, and the deadlock-prone corners — empty
+// batches and nested submits from inside a worker. All tests must also run
+// clean under TSan (`ctest -L tsan`).
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
