@@ -1,31 +1,24 @@
-// E26 — federated packing-quality loss and wall-clock scaling
-// (DESIGN.md §14). Sweeps the cell count {1, 2, 4, 8, 16} x dispatch
-// policy over the heavy Facebook trace and measures what federating the
-// cluster costs against the single global Tetris scheduler: makespan,
-// avg JCT, fragmentation, utilization skew across cells — and, new with
-// the cell-parallel driver (§14.5), what it buys back in wall clock:
-// every row carries a min-of-3 sched_wall_ms + tasks/sec measurement,
-// and a second sweep scales `cell_threads` in {1, 2, 4, 8} at the high
-// cell counts to show the federated drive parallelizing across cells.
-// The 1-cell federation is asserted BIT-IDENTICAL to the global run
-// (job finishes, task placements, makespan) and every cell_threads
-// setting is asserted bit-identical to the serial driver — the sweep's
-// baselines are proven, not assumed.
+// E26 — federated packing-quality loss (DESIGN.md §14). Sweeps the cell
+// count {1, 2, 4, 8, 16} x dispatch policy over the heavy Facebook trace
+// and measures what federating the cluster costs against the single
+// global Tetris scheduler: makespan, avg JCT, fragmentation, utilization
+// skew across cells, plus a min-of-3 sched_wall_ms + tasks/sec per row.
+// The 1-cell federation is asserted BIT-IDENTICAL to the global run (job
+// finishes, task placements, makespan) — the sweep's baseline is proven,
+// not assumed.
 //
 // Usage: bench_federation [jobs] [machines] [seed] [--cells=K]
-//   --cells=K restricts both sweeps to K cells (plus the global baseline
+//   --cells=K restricts the sweep to K cells (plus the global baseline
 //   and the 1-cell identity check); CI uses --cells=2 as a smoke run.
-// Rows land in bench_results/federation_sweep.csv (packing loss),
-// bench_results/federation_scaling.csv (cell_threads wall-clock sweep)
-// and bench_results/federation_perf_counters.csv (merged per-cell
-// counters incl. idle_cell_skips / cell_advance_seconds), all with the
-// standard scheduler,trace,cells,dispatcher prefix (the global
+// Rows land in bench_results/federation_sweep.csv (packing loss) and
+// bench_results/federation_perf_counters.csv (merged per-cell counters
+// incl. idle_cell_skips, one least-loaded row per cell count), both with
+// the standard scheduler,trace,cells,dispatcher prefix (the global
 // baseline reports cells=0, dispatcher=global).
 #include <chrono>
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -149,53 +142,6 @@ bool check_one_cell_identity(const federation::FederatedResult& fed,
   return ok;
 }
 
-// Cell-parallel vs serial driver: placements, job finishes and makespan
-// must match bit for bit at every cell_threads count. Prints the first
-// diverging record on mismatch (the kDecisions-level diagnostics live in
-// federation_determinism_test; a record-level pin is enough to fail the
-// bench loudly and say where).
-bool check_parallel_identity(const federation::FederatedResult& serial,
-                             const federation::FederatedResult& parallel,
-                             int cell_threads) {
-  const std::string what =
-      "cell_threads=" + std::to_string(cell_threads) + " vs serial driver";
-  if (serial.makespan != parallel.makespan) {
-    std::cerr << "SCALING IDENTITY FAIL (" << what << "): makespan "
-              << parallel.makespan << " != " << serial.makespan << "\n";
-    return false;
-  }
-  if (serial.job_records.size() != parallel.job_records.size()) {
-    std::cerr << "SCALING IDENTITY FAIL (" << what << "): job counts\n";
-    return false;
-  }
-  for (std::size_t i = 0; i < serial.job_records.size(); ++i) {
-    if (serial.job_records[i].finish != parallel.job_records[i].finish) {
-      std::cerr << "SCALING IDENTITY FAIL (" << what << "): first diverging "
-                << "job " << i << " finish " << parallel.job_records[i].finish
-                << " != " << serial.job_records[i].finish << "\n";
-      return false;
-    }
-  }
-  if (serial.tasks.size() != parallel.tasks.size()) {
-    std::cerr << "SCALING IDENTITY FAIL (" << what << "): task counts\n";
-    return false;
-  }
-  for (std::size_t i = 0; i < serial.tasks.size(); ++i) {
-    const auto& a = serial.tasks[i];
-    const auto& b = parallel.tasks[i];
-    if (a.job != b.job || a.host != b.host || a.start != b.start ||
-        a.finish != b.finish) {
-      std::cerr << "SCALING IDENTITY FAIL (" << what << "): first diverging "
-                << "task[" << i << "] serial job=" << a.job
-                << " host=" << a.host << " start=" << a.start
-                << ", parallel job=" << b.job << " host=" << b.host
-                << " start=" << b.start << "\n";
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -260,13 +206,12 @@ int main(int argc, char** argv) {
 
   bool identity_checked = false;
   bool identity_ok = true;
-  std::vector<int> feasible_cells;
+  std::string pcsv;
   for (int cells : {1, 2, 4, 8, 16}) {
     if (cells > scale.machines || scale.machines % cells != 0) continue;
     const int cell_size = scale.machines / cells;
     if (cell_size % per_rack != 0) continue;
     if (only_cells > 0 && cells != 1 && cells != only_cells) continue;
-    feasible_cells.push_back(cells);
 
     federation::FederationConfig fc;
     fc.base = base;
@@ -310,6 +255,12 @@ int main(int argc, char** argv) {
                      fed.avg_jct, fed.avg_utilization, fed.fragmentation,
                      fed.utilization_skew, mk_loss, jct_loss, wall * 1e3,
                      tps);
+      if (policy == federation::DispatchPolicy::kLeastLoaded) {
+        // Merged per-cell counters (FederatedResult::perf) through the
+        // shared exporter — the column set single-cell runs use.
+        pcsv += tetris::analysis::perf_counters_csv(tag, fed.perf,
+                                                    pcsv.empty());
+      }
       if (cells == 1) break;  // policies are indistinguishable at 1 cell
     }
   }
@@ -323,107 +274,10 @@ int main(int argc, char** argv) {
                "high cell counts, locality trades a little balance for "
                "local reads)\n";
   tetris::write_file("bench_results/federation_sweep.csv", csv);
+  tetris::write_file("bench_results/federation_perf_counters.csv", pcsv);
   if (!identity_checked) {
     std::cerr << "ERROR: sweep never ran the 1-cell identity check\n";
     return 1;
   }
-
-  // ---- cell_threads wall-clock scaling sweep (DESIGN.md §14.5) ----
-  // The serial driver (cell_threads=1) is the baseline; {2, 4, 8} fan
-  // the per-cell advance out on the pool. Every setting is asserted
-  // bit-identical to the baseline before its wall clock is believed.
-  // allow_oversubscription is set because the sweep deliberately runs
-  // past the core count on small CI boxes — the CSV records the honest
-  // wall clock either way, and docs/BENCHMARKS.md reads it against the
-  // machine's hardware_concurrency.
-  Table st({"cells", "cell_threads", "wall (ms)", "tasks/s", "speedup",
-            "idle skips", "advance (ms)", "identical"});
-  std::string scsv =
-      "scheduler,trace,cells,dispatcher,cell_threads,jobs,machines,"
-      "tasks,completed,sched_wall_ms,tasks_per_sec,speedup_vs_serial,"
-      "idle_cell_skips,cell_advance_ms,makespan\n";
-  std::string pcsv;
-  bool scaling_ok = true;
-  bool scaling_header = true;
-  // The high cell counts are where cell-parallelism has room to work;
-  // sweep every feasible count >= 8, or the largest feasible one when
-  // the scale (or --cells) allows none.
-  std::vector<int> scaling_cells;
-  for (int cells : feasible_cells) {
-    if (cells >= 8) scaling_cells.push_back(cells);
-  }
-  if (scaling_cells.empty() && !feasible_cells.empty() &&
-      feasible_cells.back() > 1) {
-    scaling_cells.push_back(feasible_cells.back());
-  }
-  for (int cells : scaling_cells) {
-    const int cell_size = scale.machines / cells;
-    federation::FederationConfig fc;
-    fc.base = base;
-    for (int c = 0; c < cells; ++c) {
-      fc.base.cells.push_back({c * cell_size, (c + 1) * cell_size});
-    }
-    fc.policy = federation::DispatchPolicy::kLeastLoaded;
-    fc.allow_oversubscription = true;
-
-    federation::FederatedResult serial;
-    double serial_wall = 0;
-    for (int cell_threads : {1, 2, 4, 8}) {
-      fc.cell_threads = cell_threads;
-      double wall = 0;
-      const federation::FederatedResult fed = timed_federated(fc, w, &wall);
-      bool same = true;
-      if (cell_threads == 1) {
-        serial = fed;
-        serial_wall = wall;
-      } else {
-        same = check_parallel_identity(serial, fed, cell_threads);
-        scaling_ok = scaling_ok && same;
-      }
-      const double speedup = wall > 0 ? serial_wall / wall : 0.0;
-      const double tps = wall > 0 ? total_tasks / wall : 0.0;
-      const double advance_ms =
-          static_cast<double>(fed.perf.cell_advance_nanos) * 1e-6;
-      st.add_row({std::to_string(cells), std::to_string(cell_threads),
-                  format_double(wall * 1e3, 1), format_double(tps, 0),
-                  format_double(speedup, 2),
-                  std::to_string(fed.perf.idle_cell_skips),
-                  format_double(advance_ms, 1), same ? "yes" : "NO"});
-      tetris::analysis::RunTag tag = gtag;
-      tag.cells = cells;
-      tag.dispatcher = federation::policy_name(fc.policy);
-      scsv += tag.scheduler + "," + (tag.trace ? "1" : "0") + "," +
-              std::to_string(tag.cells) + "," + tag.dispatcher + "," +
-              std::to_string(cell_threads) +
-              "," + std::to_string(fed.jobs) + "," +
-              std::to_string(scale.machines) + "," +
-              std::to_string(total_tasks) + "," +
-              (fed.completed ? "1" : "0") + "," +
-              format_double(wall * 1e3, 3) + "," + format_double(tps, 1) +
-              "," + format_double(speedup, 3) + "," +
-              std::to_string(fed.perf.idle_cell_skips) + "," +
-              format_double(advance_ms, 3) + "," +
-              format_double(fed.makespan, 2) + "\n";
-      // Merged per-cell counters (FederatedResult::perf) through the
-      // shared exporter — the column set single-cell runs use.
-      pcsv += tetris::analysis::perf_counters_csv(tag, fed.perf,
-                                                  scaling_header);
-      scaling_header = false;
-    }
-  }
-  if (!scaling_cells.empty()) {
-    std::cout << "\nCell-parallel driver scaling — min-of-" << kRepeats
-              << " wall clock, least-loaded dispatch "
-                 "(hardware_concurrency="
-              << std::thread::hardware_concurrency() << "):\n"
-            << st.to_string() << "\n";
-    std::cout << "(speedup is vs the cell_threads=1 serial driver at the "
-                 "same cell count; every row is asserted bit-identical to "
-                 "it first. On boxes with fewer cores than cell_threads "
-                 "the fan-out measures pool overhead, not speedup — see "
-                 "docs/BENCHMARKS.md.)\n";
-    tetris::write_file("bench_results/federation_scaling.csv", scsv);
-    tetris::write_file("bench_results/federation_perf_counters.csv", pcsv);
-  }
-  return identity_ok && scaling_ok ? 0 : 1;
+  return identity_ok ? 0 : 1;
 }

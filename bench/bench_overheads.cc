@@ -13,8 +13,7 @@
 //   jobs/machines size the heavy backlog run (default 230 jobs x 30
 //   machines ~ 10K pending tasks at t=0). Per-pass samples land in
 //   bench_results/table8_overheads.csv, counter totals in
-//   bench_results/table8_perf_counters.csv, the SIMD on/off sweep in
-//   bench_results/table8_simd.csv and the trace on/off sweep in
+//   bench_results/table8_perf_counters.csv and the trace on/off sweep in
 //   bench_results/table8_trace_overhead.csv. All rows are prefixed with
 //   scheduler,trace,cells,dispatcher so they are self-describing
 //   (cells=0, dispatcher=global: these runs are not federated).
@@ -28,7 +27,6 @@
 #include "analysis/export.h"
 #include "bench/harness.h"
 #include "core/demand_estimator.h"
-#include "core/score_kernel.h"
 #include "tracker/token_bucket.h"
 
 using namespace tetris;
@@ -208,83 +206,6 @@ void print_pass_latency_table(const bench::Scale& heavy_scale,
   std::cout << t.to_string();
 }
 
-// SIMD sweep (DESIGN.md §12): the optimized pass with the SoA batch
-// kernel off vs on, heavy scale. Off flushes one cell per kernel call
-// through the scalar reference lane, so the schedule and score_evals are
-// identical (the equivalence matrix enforces it; spot-checked here on
-// makespan) and the only moving number is pass latency.
-void print_simd_table(const bench::Scale& heavy_scale,
-                      std::string* simd_csv) {
-  std::cout << "\nSIMD scoring kernel — scalar lane vs SoA batch kernel ("
-            << core::simd::isa_name() << ", "
-            << core::simd::lane_width()
-            << " lanes; DESIGN.md §12). Same workload, bit-identical "
-               "schedules; latency is the only difference.\n";
-  Table t({"simd", "passes", "mean pass (ms)", "mean @ heavy backlog (ms)",
-           "max pass (ms)", "score evals", "simd blocks", "scalar tail",
-           "speedup @ heavy"});
-  *simd_csv =
-      "scheduler,trace,cells,dispatcher,"
-      "simd,isa,lanes,backlog_tasks,passes,"
-      "mean_pass_ms,heavy_mean_pass_ms,max_pass_ms,score_evals,"
-      "simd_blocks,scalar_tail_evals,heavy_speedup,makespan\n";
-
-  const sim::Workload w =
-      bench::facebook_workload(heavy_scale, /*arrival_window=*/0);
-  sim::SimConfig cfg = bench::facebook_cluster(heavy_scale);
-  cfg.collect_pass_samples = true;
-  const int cut =
-      static_cast<int>(0.5 * static_cast<double>(w.total_tasks()));
-
-  double off_heavy_ms = 0;
-  double off_makespan = -1;
-  for (const core::SimdMode simd :
-       {core::SimdMode::kOff, core::SimdMode::kOn}) {
-    const bool on = simd == core::SimdMode::kOn;
-    core::TetrisConfig tcfg;
-    tcfg.name = std::string("tetris-simd-") + (on ? "on" : "off");
-    tcfg.simd = simd;
-    const sim::SimResult best =
-        best_of_3([&] { return bench::run_tetris(cfg, w, tcfg); });
-    bench::warn_if_incomplete(best);
-    if (!on) {
-      off_makespan = best.makespan;
-    } else if (best.makespan != off_makespan) {
-      std::cerr << "ERROR: simd=on schedule diverged from simd=off "
-                   "(makespan "
-                << best.makespan << " vs " << off_makespan << ")\n";
-    }
-    const auto& c = best.scheduler_cost;
-    const auto [heavy_ms, heavy_n] = heavy_mean_ms(best, cut);
-    if (!on) off_heavy_ms = heavy_ms;
-    const double speedup = on && heavy_ms > 0 ? off_heavy_ms / heavy_ms : 0.0;
-    t.add_row({on ? "on" : "off", std::to_string(c.invocations),
-               format_double(c.mean_seconds() * 1e3, 3),
-               format_double(heavy_ms, 3) + " (" + std::to_string(heavy_n) +
-                   "p)",
-               format_double(c.max_seconds * 1e3, 3),
-               std::to_string(best.perf.score_evals),
-               std::to_string(best.perf.simd_blocks),
-               std::to_string(best.perf.scalar_tail_evals),
-               on ? format_double(speedup, 2) + "x" : "-"});
-    *simd_csv += std::string("tetris-simd-") + (on ? "on" : "off") +
-                 ",0,0,global," + (on ? "1" : "0") + "," +
-                 std::string(core::simd::isa_name()) + "," +
-                 std::to_string(core::simd::lane_width()) + "," +
-                 std::to_string(w.total_tasks()) + "," +
-                 std::to_string(c.invocations) + "," +
-                 format_double(c.mean_seconds() * 1e3, 4) + "," +
-                 format_double(heavy_ms, 4) + "," +
-                 format_double(c.max_seconds * 1e3, 4) + "," +
-                 std::to_string(best.perf.score_evals) + "," +
-                 std::to_string(best.perf.simd_blocks) + "," +
-                 std::to_string(best.perf.scalar_tail_evals) + "," +
-                 format_double(speedup, 3) + "," +
-                 format_double(best.makespan, 3) + "\n";
-  }
-  std::cout << t.to_string();
-}
-
 // Trace-overhead sweep (DESIGN.md §10): the optimized pass with event
 // tracing off vs on, heavy scale. Tracing must not change decisions
 // (spot-checked on makespan; the replay tests enforce event-level
@@ -374,10 +295,6 @@ int main(int argc, char** argv) {
   print_pass_latency_table(scale, &samples_csv, &counters_csv);
   write_file("bench_results/table8_overheads.csv", samples_csv);
   write_file("bench_results/table8_perf_counters.csv", counters_csv);
-
-  std::string simd_csv;
-  print_simd_table(scale, &simd_csv);
-  write_file("bench_results/table8_simd.csv", simd_csv);
 
   std::string trace_csv;
   print_trace_overhead_table(scale, &trace_csv);

@@ -107,7 +107,7 @@ std::string perf_counters_csv(const RunTag& tag,
           "fit_index_skips,row_skips,probe_cache_hits,probe_cache_misses,"
           "estimate_cache_hits,estimate_cache_misses,avail_cache_hits,"
           "avail_recomputes,simd_blocks,scalar_tail_evals,"
-          "cell_advance_seconds,idle_cell_skips\n";
+          "idle_cell_skips\n";
   }
   os << tag_prefix(tag) << "," << p.score_evals << "," << p.probes_issued << ","
      << p.probe_reuses << "," << p.sticky_rejects << "," << p.fit_index_skips
@@ -116,7 +116,6 @@ std::string perf_counters_csv(const RunTag& tag,
      << p.estimate_cache_hits << "," << p.estimate_cache_misses << ","
      << p.avail_cache_hits << "," << p.avail_recomputes << ","
      << p.simd_blocks << "," << p.scalar_tail_evals << ","
-     << static_cast<double>(p.cell_advance_nanos) * 1e-9 << ","
      << p.idle_cell_skips << "\n";
   return os.str();
 }

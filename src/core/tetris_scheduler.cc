@@ -45,23 +45,6 @@ bool held_back(const Claims& claims, int m, double alignment,
 
 }  // namespace
 
-SimdMode simd_mode_from_string(std::string_view s) {
-  if (s == "off") return SimdMode::kOff;
-  if (s == "on") return SimdMode::kOn;
-  throw std::invalid_argument("simd mode must be \"off\" or \"on\", got \"" +
-                              std::string(s) + "\"");
-}
-
-std::string_view simd_mode_name(SimdMode mode) {
-  switch (mode) {
-    case SimdMode::kOff:
-      return "off";
-    case SimdMode::kOn:
-      return "on";
-  }
-  return "?";
-}
-
 TetrisScheduler::TetrisScheduler(TetrisConfig config)
     : config_(std::move(config)) {
   // Each check states the legal range positively, so NaN — which fails
@@ -84,12 +67,6 @@ TetrisScheduler::TetrisScheduler(TetrisConfig config)
     throw std::invalid_argument("future_lookahead must be finite and >= 0");
   if (!(0 < config_.preemption_deficit && config_.preemption_deficit <= 1))
     throw std::invalid_argument("preemption_deficit must be in (0, 1]");
-  // Configs built from parsed knobs can smuggle any integer into the
-  // enum; reject everything but the named modes so a typo'd sweep fails
-  // loudly instead of silently scoring scalar.
-  if (config_.simd != SimdMode::kOff && config_.simd != SimdMode::kOn)
-    throw std::invalid_argument(
-        "simd must be SimdMode::kOff or SimdMode::kOn");
 }
 
 // Everything one schedule() call builds and drops. The scheduler members
@@ -175,7 +152,6 @@ struct TetrisScheduler::Pass {
   // the virtuals — same values, just slower.
   const util::ResourcePlanes* avail_planes = nullptr;
   const util::ResourcePlanes* cap_planes = nullptr;
-  std::size_t flush_width = 1;  // lanes per Phase-B kernel call
   // Free-capacity index: component-wise max availability over up
   // machines, and the row fit mask of each group's estimate against it.
   util::ResourcePlanes group_demand;
@@ -488,9 +464,6 @@ void TetrisScheduler::prepare_scan(Pass& p) {
   if (p.naive) return;
   p.avail_planes = p.ctx.availability_planes();
   p.cap_planes = p.ctx.capacity_planes();
-  p.flush_width = config_.simd == SimdMode::kOn
-                      ? static_cast<std::size_t>(simd::lane_width())
-                      : 1;
   // Per-group estimated-demand planes for the row fit mask: fits_cpu_mem
   // of every row against the fit index in one vector sweep per
   // recompute. est_demand is pass-constant, so the planes are built once.
@@ -789,17 +762,18 @@ void TetrisScheduler::scan_wave(Pass& p, int tier, std::size_t* cutoff) {
     }
   }
 
-  // Phase B: fused fit + alignment over the pending cells, flush_width
+  // Phase B: fused fit + alignment over the pending cells, lane_width()
   // lanes per kernel call, in scan order. Every pending cell already
   // passed the full scalar admission, so each lane scores exactly as the
   // naive refresh would: same counter, same eps record, same cell
   // writeback — and its provisional rejection is undone. The kernel's
   // fused fit mask cannot fire on this input (lane-for-lane identity with
   // the scalar predicates, unit-tested); it stays as a guard.
+  const auto width = static_cast<std::size_t>(simd::lane_width());
   simd::ScoreBlock block;
   simd::ScoreOut res;
   for (std::size_t i = 0; i < p.pending.size(); i += block.n) {
-    block.n = std::min(p.flush_width, p.pending.size() - i);
+    block.n = std::min(width, p.pending.size() - i);
     for (std::size_t l = 0; l < block.n; ++l) {
       const Pass::WaveCell& w = p.pending[i + l];
       const auto mi = static_cast<std::size_t>(w.m);

@@ -25,7 +25,6 @@
 
 #include <limits>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -37,23 +36,6 @@
 #include "util/units.h"
 
 namespace tetris::core {
-
-// Scoring-kernel selection (DESIGN.md §12). The optimized scan scores
-// each wave's admitted cells through the structure-of-arrays batch
-// kernel: kOn flushes them lane_width() at a time (AVX2/SSE4.2 when the
-// build carries them, portable scalar otherwise); kOff flushes them one
-// at a time, so every cell takes the kernel's scalar reference lane.
-// Both produce bit-identical schedules — the kernel reproduces the scalar
-// op sequence per lane — so this knob trades nothing but speed. The
-// naive_scoring oracle scores inline, whatever this says.
-enum class SimdMode {
-  kOff = 0,
-  kOn = 1,
-};
-
-// "off" / "on"; throws std::invalid_argument on anything else.
-SimdMode simd_mode_from_string(std::string_view s);
-std::string_view simd_mode_name(SimdMode mode);
 
 struct TetrisConfig {
   AlignmentKind alignment = AlignmentKind::kCosine;
@@ -124,9 +106,6 @@ struct TetrisConfig {
   // bit-identical schedules to the optimized default (the equivalence
   // property test enforces it); exists so the oracle stays runnable.
   bool naive_scoring = false;
-
-  // Vectorized scoring kernel (DESIGN.md §12); see SimdMode above.
-  SimdMode simd = SimdMode::kOn;
 
   std::string name = "tetris";
 };

@@ -2,7 +2,7 @@
 // admission layer that sends each arriving job to exactly one cell. It
 // sees only deterministic cell load snapshots (sim::EngineLoad) and the
 // job's locality/feasibility signals, so for a fixed seed every policy is
-// bit-reproducible and independent of per-cell thread counts.
+// bit-reproducible.
 #pragma once
 
 #include <cstdint>

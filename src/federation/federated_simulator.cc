@@ -1,19 +1,16 @@
 #include "federation/federated_simulator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "federation/cell.h"
 #include "sim/job_source.h"
 #include "sim/simulator.h"
-#include "util/thread_pool.h"
 
 namespace tetris::federation {
 
@@ -72,24 +69,6 @@ FederatedResult simulate_federated(const FederationConfig& config,
           "FederationConfig: kill needs a valid cell and a finite time >= 0");
     }
   }
-  if (config.cell_threads < 0) {
-    throw std::invalid_argument("FederationConfig: negative cell_threads");
-  }
-
-  // Oversubscription guard (DESIGN.md §14.5): more cell threads than
-  // cores turns the scaling sweep into a context-switch benchmark.
-  const bool cell_parallel = config.cell_threads > 1;
-  if (cell_parallel && !config.allow_oversubscription) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw > 0 && config.cell_threads > static_cast<long>(hw)) {
-      throw std::invalid_argument(
-          "FederationConfig: cell_threads=" +
-          std::to_string(config.cell_threads) +
-          " oversubscribes hardware_concurrency=" + std::to_string(hw) +
-          "; set allow_oversubscription to run anyway");
-    }
-  }
-
   // Global job ids are positions in arrival-sorted order — the ids
   // sim::simulate would assign the same sorted workload, which is what
   // makes the 1-cell case comparable record for record.
@@ -185,49 +164,20 @@ FederatedResult simulate_federated(const FederationConfig& config,
   }
   std::sort(events.begin(), events.end());
 
-  // Cell-parallel fan-out (DESIGN.md §14.5). Cells are fully independent
-  // between driver events — each engine owns its simulator, scheduler,
-  // RNG and trace recorder, and nothing else is shared — so the per-cell
-  // advance_before calls of one interval commute. run_barrier returns
-  // only after every cell reached ev.time (the barrier), and dispatch /
-  // kill handling stays on this thread, so EngineLoad queries observe
-  // exactly the state the serial lockstep produces, at every
-  // cell_threads count. The worklist drops quiescent cells first: for
-  // those, advance_before would mutate nothing (SimEngine::
-  // quiescent_until), so skipping them is free determinism-wise and
-  // keeps sparse cells from paying a pool hop per driver event.
-  std::unique_ptr<util::ThreadPool> pool;
-  if (cell_parallel && num_cells > 1) {
-    pool = std::make_unique<util::ThreadPool>(
-        std::min(config.cell_threads, num_cells));
-  }
-  std::vector<int> worklist;
-  worklist.reserve(static_cast<std::size_t>(num_cells));
+  // Idle-cell skip (DESIGN.md §14.5): a quiescent cell's advance_before
+  // would mutate nothing (SimEngine::quiescent_until), so skipping it
+  // changes no schedule and spares the driver a call per live cell per
+  // event.
   long idle_cell_skips = 0;
-  long cell_advance_nanos = 0;
 
   for (const DriverEvent& ev : events) {
-    worklist.clear();
     for (int c = 0; c < num_cells; ++c) {
       if (!alive[static_cast<std::size_t>(c)]) continue;
       if (engines[c]->quiescent_until(ev.time)) {
         idle_cell_skips++;
         continue;
       }
-      worklist.push_back(c);
-    }
-    if (!worklist.empty()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      util::ThreadPool::run_barrier(
-          pool.get(), static_cast<int>(worklist.size()),
-          [&](int i) {
-            engines[worklist[static_cast<std::size_t>(i)]]->advance_before(
-                ev.time);
-          });
-      cell_advance_nanos += std::chrono::duration_cast<
-                                std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
+      engines[c]->advance_before(ev.time);
     }
     if (ev.kind == 1) {
       dispatch(ev.index, sorted.jobs[static_cast<std::size_t>(ev.index)]);
@@ -257,22 +207,8 @@ FederatedResult simulate_federated(const FederationConfig& config,
   res.reassigned_jobs = reassigned;
   res.lost_jobs = lost;
   res.job_cell = job_cell;
-  // The tail drain past the last driver event is the same independent
-  // per-cell work as the advance fan-out — often most of the simulated
-  // horizon — so it runs through the same barrier; results land in cell
-  // order regardless of which worker drained which cell.
-  {
-    std::vector<sim::SimResult> finished(static_cast<std::size_t>(num_cells));
-    const auto t0 = std::chrono::steady_clock::now();
-    util::ThreadPool::run_barrier(pool.get(), num_cells, [&](int c) {
-      finished[static_cast<std::size_t>(c)] = engines[c]->finish();
-    });
-    cell_advance_nanos += std::chrono::duration_cast<
-                              std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-    res.cells = std::move(finished);
-  }
+  res.cells.reserve(static_cast<std::size_t>(num_cells));
+  for (int c = 0; c < num_cells; ++c) res.cells.push_back(engines[c]->finish());
 
   // Global job records: the final cell's outcome under the original
   // arrival, so JCT charges failover re-runs to the job end to end.
@@ -382,7 +318,6 @@ FederatedResult simulate_federated(const FederationConfig& config,
   res.fragmentation = 1.0 - res.avg_utilization;
   res.utilization_skew =
       num_cells > 0 && std::isfinite(util_min) ? util_max - util_min : 0.0;
-  res.perf.cell_advance_nanos = cell_advance_nanos;
   res.perf.idle_cell_skips = idle_cell_skips;
   return res;
 }

@@ -40,20 +40,6 @@ struct FederationConfig {
   DispatchPolicy policy = DispatchPolicy::kLeastLoaded;
   std::uint64_t dispatch_seed = 1;
   std::vector<CellKill> kills;
-
-  // Cell-parallel execution (DESIGN.md §14.5): 0 or 1 keeps the serial
-  // lockstep loop; N > 1 fans each driver interval's per-cell advance out
-  // as min(N, cells) tasks on a util::ThreadPool, with a barrier before
-  // every dispatcher decision. Placements, makespan and kDecisions traces
-  // are bit-identical at every setting — cells only interact at dispatch
-  // and kill instants, and both stay on the driver thread.
-  int cell_threads = 0;
-  // Fail-fast guard: cell_threads must not exceed
-  // std::thread::hardware_concurrency() (when known) unless this is set —
-  // oversubscribed runs stay bit-identical but measure scheduler
-  // wall-clock noise, not speedup. Benches that sweep past the core count
-  // on purpose set it and say so in their tables.
-  bool allow_oversubscription = false;
 };
 
 struct FederatedResult {
@@ -80,7 +66,7 @@ struct FederatedResult {
 
   // Hot-path accounting, merged across every cell instead of being
   // dropped at the cell boundary: summed util::PerfCounters (plus the
-  // driver's own cell_advance_nanos / idle_cell_skips) and the combined
+  // driver's own idle_cell_skips) and the combined
   // pass-latency histogram, so analysis::perf_counters_csv and p50/p99
   // reporting work on federated runs exactly as on single-cell ones.
   util::PerfCounters perf;

@@ -222,7 +222,7 @@ struct SimConfig {
   std::vector<BackgroundActivity> activities;
 
   // Hard stop: a run that has not drained by this virtual time is reported
-  // as incomplete rather than looping forever.
+  // as incomplete rather than looping forever. Must be finite and > 0.
   SimTime max_time = 14 * 24 * kHours;
 
   std::vector<Resources> resolved_capacities() const {

@@ -952,6 +952,12 @@ void Simulator::init_cluster() {
     throw std::invalid_argument(
         "SimConfig: timeline_period must be finite and > 0");
   }
+  // The hard stop: NaN would disable it, +inf would let churn
+  // pre-generation run until memory runs out, and <= 0 ends the run
+  // before its first event.
+  if (!(0 < config_.max_time && config_.max_time < kInf)) {
+    throw std::invalid_argument("SimConfig: max_time must be finite and > 0");
+  }
   if (!(0 <= config_.churn.mttf && config_.churn.mttf < kInf)) {
     throw std::invalid_argument("ChurnConfig: mttf must be finite and >= 0");
   }

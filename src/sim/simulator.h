@@ -39,8 +39,7 @@ SimResult simulate_stream(const SimConfig& config, JobSource& source,
 
 // Deterministic load snapshot of a stepped simulation, read by the
 // federated dispatcher between events (DESIGN.md §14). Every field is pure
-// simulation state, so dispatch decisions built on it are reproducible and
-// independent of thread count.
+// simulation state, so dispatch decisions built on it are reproducible.
 struct EngineLoad {
   int machines = 0;        // real machines owned by this engine
   int up_machines = 0;     // machines currently up

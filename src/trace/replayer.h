@@ -19,9 +19,9 @@ namespace tetris::trace {
 // arrivals, pass begin/end, placements, task start/finish/kill, machine
 // down/up, run end — dropping kGroupScan, kUsageReport, and kRunBegin
 // (whose naive-mode metadata differs between configurations by
-// construction). This is the cross-configuration contract: {naive, opt} x
-// {simd off, on} must agree on every decision even though their
-// instrumentation differs.
+// construction). This is the cross-configuration contract: the naive
+// oracle and the optimized scan must agree on every decision even though
+// their instrumentation differs.
 enum class CompareMode { kFull, kDecisions };
 
 bool is_decision_event(EventKind kind);

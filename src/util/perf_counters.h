@@ -19,8 +19,7 @@ struct PerfCounters {
 
   // SIMD scoring kernel (DESIGN.md §12). Every cell the optimized scan
   // scores is one kernel lane, so on that path
-  // simd_blocks * lane_width() + scalar_tail_evals == score_evals; with
-  // simd off every lane is a scalar-tail lane.
+  // simd_blocks * lane_width() + scalar_tail_evals == score_evals.
   long simd_blocks = 0;        // full-width vector blocks evaluated
   long scalar_tail_evals = 0;  // batch lanes evaluated on the scalar tail
 
@@ -44,15 +43,10 @@ struct PerfCounters {
   // stays 0 — a deferral shifts the job's effective arrival.
   long stream_deferrals = 0;
 
-  // Federated driver bookkeeping (DESIGN.md §14.5); all zero outside
-  // simulate_federated. cell_advance_nanos is wall clock inside the
-  // per-event advance fan-out (serial loop or pool barrier), so it is
-  // the one counter that varies between repeated runs; idle_cell_skips —
-  // live cells whose advance was skipped because they were quiescent up
-  // to the event time with an empty admission queue — is deterministic
-  // for a fixed configuration and identical at every cell_threads count.
-  long cell_advance_nanos = 0;  // wall clock advancing cells per event
-  long idle_cell_skips = 0;     // quiescent cells skipped by the driver
+  // Federated driver bookkeeping (DESIGN.md §14.5); zero outside
+  // simulate_federated. Live cells whose advance was skipped because they
+  // were quiescent up to the event time with an empty admission queue.
+  long idle_cell_skips = 0;
 
   friend bool operator==(const PerfCounters&, const PerfCounters&) = default;
 
@@ -80,7 +74,6 @@ struct PerfCounters {
                               ? peak_resident_tasks
                               : o.peak_resident_tasks;
     stream_deferrals += o.stream_deferrals;
-    cell_advance_nanos += o.cell_advance_nanos;
     idle_cell_skips += o.idle_cell_skips;
     return *this;
   }

@@ -1,8 +1,8 @@
 // The SIMD scoring kernel (DESIGN.md §12) against its scalar oracle, at
 // every level: per-lane kernel outputs vs the exact scalar expressions,
 // the batch admission mask vs sched::fits_cpu_mem, the vector fit-index
-// fold vs the per-machine cwise_max loop, the simd knob's validation, and
-// full-simulation bit-identity at machine counts that are NOT a multiple
+// fold vs the per-machine cwise_max loop, and full-simulation
+// bit-identity at machine counts that are NOT a multiple
 // of the vector width (so partial blocks and the scalar tail are forced).
 #include "core/score_kernel.h"
 
@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstring>
 #include <random>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,6 @@ namespace tetris {
 namespace {
 
 using core::AlignmentKind;
-using core::SimdMode;
 
 Resources random_resources(std::mt19937_64& rng, double lo, double hi) {
   std::uniform_real_distribution<double> d(lo, hi);
@@ -202,42 +200,11 @@ TEST(ScoreKernelTest, CwiseMaxLanesIgnoresLanesPastBound) {
   EXPECT_EQ(core::simd::cwise_max_lanes(planes, 4), Resources::uniform(2.0));
 }
 
-// --- knob validation (TetrisConfig::simd) ---
-
-TEST(SimdModeTest, FromStringParsesAndRejects) {
-  EXPECT_EQ(core::simd_mode_from_string("off"), SimdMode::kOff);
-  EXPECT_EQ(core::simd_mode_from_string("on"), SimdMode::kOn);
-  EXPECT_EQ(core::simd_mode_name(SimdMode::kOff), "off");
-  EXPECT_EQ(core::simd_mode_name(SimdMode::kOn), "on");
-  EXPECT_THROW(core::simd_mode_from_string("avx2"), std::invalid_argument);
-  EXPECT_THROW(core::simd_mode_from_string(""), std::invalid_argument);
-  EXPECT_THROW(core::simd_mode_from_string("ON"), std::invalid_argument);
-  try {
-    core::simd_mode_from_string("fast");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    // The message must name both the accepted values and the bad input.
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("off"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("on"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("fast"), std::string::npos) << msg;
-  }
-}
-
-TEST(SimdModeTest, SchedulerRejectsOutOfRangeMode) {
-  core::TetrisConfig cfg;
-  cfg.simd = static_cast<SimdMode>(42);
-  EXPECT_THROW(core::TetrisScheduler{cfg}, std::invalid_argument);
-  cfg.simd = SimdMode::kOn;
-  EXPECT_NO_THROW(core::TetrisScheduler{cfg});
-}
-
 // --- scalar-tail simulation equivalence ---
 
 // Machine counts 7 and 13 are coprime to every lane width (2, 4), so the
 // wave batches continually end in partial blocks: the scalar tail and the
-// vector body must interleave without disturbing bit-identity. With simd
-// off every lane is a tail lane.
+// vector body must interleave without disturbing bit-identity.
 TEST(ScoreKernelTailTest, OddMachineCountsStayBitIdentical) {
   for (const int machines : {7, 13}) {
     workload::SuiteConfig wcfg;
@@ -248,38 +215,32 @@ TEST(ScoreKernelTailTest, OddMachineCountsStayBitIdentical) {
     wcfg.seed = 5;
     const sim::Workload w = workload::make_suite_workload(wcfg);
 
-    const auto run = [&](bool naive, SimdMode simd) {
+    const auto run = [&](bool naive) {
       sim::SimConfig cfg;
       cfg.num_machines = machines;
       cfg.machine_capacity = workload::facebook_machine();
       cfg.naive_scheduler_view = naive;
       core::TetrisConfig tcfg;
       tcfg.naive_scoring = naive;
-      tcfg.simd = simd;
       core::TetrisScheduler sched(tcfg);
       return sim::simulate(cfg, w, sched);
     };
 
-    const sim::SimResult oracle = run(true, SimdMode::kOff);
-    for (const SimdMode simd : {SimdMode::kOff, SimdMode::kOn}) {
-      const sim::SimResult r = run(false, simd);
-      ASSERT_EQ(r.tasks.size(), oracle.tasks.size())
-          << machines << " machines, simd " << simd_mode_name(simd);
-      for (std::size_t i = 0; i < r.tasks.size(); ++i) {
-        EXPECT_EQ(r.tasks[i].host, oracle.tasks[i].host) << i;
-        EXPECT_EQ(r.tasks[i].start, oracle.tasks[i].start) << i;
-        EXPECT_EQ(r.tasks[i].finish, oracle.tasks[i].finish) << i;
-      }
-      EXPECT_EQ(r.makespan, oracle.makespan);
-      EXPECT_EQ(r.perf.simd_blocks * core::simd::lane_width() +
-                    r.perf.scalar_tail_evals,
-                r.perf.score_evals);
-      if (simd == SimdMode::kOff) {
-        EXPECT_EQ(r.perf.simd_blocks, 0);
-      } else if (core::simd::lane_width() > 1) {
-        // Odd machine counts must actually exercise the tail.
-        EXPECT_GT(r.perf.scalar_tail_evals, 0) << machines << " machines";
-      }
+    const sim::SimResult oracle = run(true);
+    const sim::SimResult r = run(false);
+    ASSERT_EQ(r.tasks.size(), oracle.tasks.size()) << machines << " machines";
+    for (std::size_t i = 0; i < r.tasks.size(); ++i) {
+      EXPECT_EQ(r.tasks[i].host, oracle.tasks[i].host) << i;
+      EXPECT_EQ(r.tasks[i].start, oracle.tasks[i].start) << i;
+      EXPECT_EQ(r.tasks[i].finish, oracle.tasks[i].finish) << i;
+    }
+    EXPECT_EQ(r.makespan, oracle.makespan);
+    EXPECT_EQ(r.perf.simd_blocks * core::simd::lane_width() +
+                  r.perf.scalar_tail_evals,
+              r.perf.score_evals);
+    if (core::simd::lane_width() > 1) {
+      // Odd machine counts must actually exercise the tail.
+      EXPECT_GT(r.perf.scalar_tail_evals, 0) << machines << " machines";
     }
   }
 }

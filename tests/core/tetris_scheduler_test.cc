@@ -792,7 +792,7 @@ TEST(TetrisHotPath, FitIndexIgnoresDownMachines) {
 // 1 + 2^-51). The second placement's SRTF term y = eps * p_hat reads that
 // sum, so it tells the two orders apart.
 TEST(TetrisHotPath, WavesReplayEpsInNaiveRowOrder) {
-  const auto placements = [](bool naive, SimdMode simd) {
+  const auto placements = [](bool naive) {
     constexpr double kTiny = 0x1p-53;
     const auto cpu = [](double cores) {
       Resources d;
@@ -815,7 +815,6 @@ TEST(TetrisHotPath, WavesReplayEpsInNaiveRowOrder) {
     ctx.set_tracer(&rec);
     TetrisConfig tcfg;
     tcfg.naive_scoring = naive;
-    tcfg.simd = simd;
     TetrisScheduler sched(tcfg);
     sched.schedule(ctx);
     std::vector<trace::Event> out;
@@ -825,22 +824,19 @@ TEST(TetrisHotPath, WavesReplayEpsInNaiveRowOrder) {
     return out;
   };
 
-  const auto oracle = placements(/*naive=*/true, SimdMode::kOff);
+  const auto oracle = placements(/*naive=*/true);
   ASSERT_EQ(oracle.size(), 2u);
   EXPECT_EQ(oracle[0].a, 1);  // the straggler first
   EXPECT_EQ(oracle[0].e, 1);
   EXPECT_EQ(oracle[1].a, 0);
   EXPECT_EQ(oracle[1].y, 0.25);  // eps = (1 / 4 scores) / p_bar, p_hat = 1
-  for (const SimdMode simd : {SimdMode::kOff, SimdMode::kOn}) {
-    SCOPED_TRACE(simd_mode_name(simd));
-    const auto opt = placements(/*naive=*/false, simd);
-    ASSERT_EQ(opt.size(), oracle.size());
-    for (std::size_t i = 0; i < opt.size(); ++i) {
-      EXPECT_EQ(opt[i].a, oracle[i].a) << i;
-      EXPECT_EQ(opt[i].d, oracle[i].d) << i;
-      EXPECT_EQ(opt[i].x, oracle[i].x) << i;
-      EXPECT_EQ(opt[i].y, oracle[i].y) << i;
-    }
+  const auto opt = placements(/*naive=*/false);
+  ASSERT_EQ(opt.size(), oracle.size());
+  for (std::size_t i = 0; i < opt.size(); ++i) {
+    EXPECT_EQ(opt[i].a, oracle[i].a) << i;
+    EXPECT_EQ(opt[i].d, oracle[i].d) << i;
+    EXPECT_EQ(opt[i].x, oracle[i].x) << i;
+    EXPECT_EQ(opt[i].y, oracle[i].y) << i;
   }
 }
 

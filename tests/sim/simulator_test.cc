@@ -334,10 +334,11 @@ TEST(Simulator, RejectsNonPositiveOrNonFiniteHeartbeatPeriod) {
   }
 }
 
-// Churn, rack and cell-kill times against NaN, +-inf and a negative value.
-// Checks written `x < 0` let NaN through: a NaN mttr scheduled recoveries
-// at NaN time, a NaN rack_oversubscription gave every uplink NaN
-// capacity. Every value must be rejected.
+// Churn, rack and cell-kill times and the max_time hard stop against NaN,
+// +-inf and a negative value (and 0 where 0 is illegal). Checks written
+// `x < 0` let NaN through: a NaN mttr scheduled recoveries at NaN time, a
+// NaN rack_oversubscription gave every uplink NaN capacity, a NaN
+// max_time disabled the hard stop. Every value must be rejected.
 TEST(Simulator, RejectsNaNInfiniteAndNegativeChurnRackAndKillTimes) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -350,8 +351,16 @@ TEST(Simulator, RejectsNaNInfiniteAndNegativeChurnRackAndKillTimes) {
   struct Knob {
     const char* name;
     void (*set)(federation::FederationConfig&, double);
+    bool rejects_zero = false;
   };
   const Knob knobs[] = {
+      // Churn stays off here: at +inf, churn pre-generation would run
+      // until memory ran out instead of failing.
+      {"max_time",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.max_time = v;
+       },
+       true},
       {"churn.mttf",
        [](federation::FederationConfig& fc, double v) {
          fc.base.churn.mttf = v;
@@ -381,7 +390,8 @@ TEST(Simulator, RejectsNaNInfiniteAndNegativeChurnRackAndKillTimes) {
        }},
   };
   for (const Knob& k : knobs) {
-    for (const double v : {kNaN, kInf, -kInf, -1.0}) {
+    for (const double v : {kNaN, kInf, -kInf, -1.0, 0.0}) {
+      if (v == 0 && !k.rejects_zero) continue;
       federation::FederationConfig fc;
       fc.base = small_cluster(2);
       k.set(fc, v);
