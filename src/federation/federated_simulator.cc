@@ -57,9 +57,8 @@ FederatedResult simulate_federated(const FederationConfig& config,
     throw std::invalid_argument(
         "FederationConfig: base.cells must define the cell partition");
   }
-  if (auto msg = sim::validate_cells(base); !msg.empty()) {
-    throw std::invalid_argument("FederationConfig: invalid cell partition: " +
-                                msg);
+  if (auto msg = sim::validate(base); !msg.empty()) {
+    throw std::invalid_argument("FederationConfig: invalid base: " + msg);
   }
   const int num_cells = static_cast<int>(base.cells.size());
   for (const auto& kill : config.kills) {

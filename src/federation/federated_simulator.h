@@ -31,8 +31,9 @@ struct CellKill {
 
 struct FederationConfig {
   // The global cluster; base.cells must define the partition
-  // (sim::validate_cells rules). Tracker/estimation/trace knobs are
-  // inherited by every cell; each cell seeds its RNG with
+  // (sim::validate_cells rules), and simulate_federated checks all of
+  // base with sim::validate before slicing it. Tracker/estimation/trace
+  // knobs are inherited by every cell; each cell seeds its RNG with
   // base.seed + cell_index (cell 0 keeps the base seed).
   sim::SimConfig base;
   // Per-cell scheduler template.

@@ -132,12 +132,19 @@ struct CellSpec {
 
 struct SimConfig;
 
+// Fail-fast validation of every SimConfig knob: cluster shape, capacities,
+// periods and times, churn, labels, the cell partition (validate_cells),
+// activities, failure probability, tracker ramp-up, estimation, streaming
+// and interference ranges. Returns an empty string when the config is
+// valid, otherwise a description of the first problem found. Every
+// simulator and simulate_federated() reject an invalid config with it.
+std::string validate(const SimConfig& config);
+
 // Fail-fast validation of SimConfig::cells against the resolved cluster
 // shape. Returns an empty string when the partition is valid (or empty),
 // otherwise a description of the first problem found: out-of-range or
 // inverted spans, overlaps, skipped machines, or a cell boundary that
-// splits a rack. simulate() rejects an invalid partition the same way it
-// rejects a machine_labels size mismatch.
+// splits a rack. validate() includes this check.
 std::string validate_cells(const SimConfig& config);
 
 struct SimConfig {
@@ -198,10 +205,11 @@ struct SimConfig {
   std::uint64_t seed = 1;
 
   // Oracle switch for the hot-path caches (DESIGN.md §8): when true, the
-  // simulator rebuilds the scheduler's view (availability, probes, group
-  // estimates) from scratch every pass instead of serving it from the
-  // incrementally-invalidated caches. Slower, but trivially correct — the
-  // equivalence property test pins the cached path to it bit for bit.
+  // simulator recomputes the scheduler's view (probes, group estimates,
+  // longest waits) from scratch on every call instead of serving it from
+  // the stages' incrementally-invalidated state. Slower, but trivially
+  // correct — the equivalence property test pins the cached path to it
+  // bit for bit. Availability is rebuilt every pass on both paths.
   bool naive_scheduler_view = false;
 
   // Structured event tracing (DESIGN.md §10): when trace.enabled, the

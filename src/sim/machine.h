@@ -39,9 +39,6 @@ class Machine {
   // local demands on its host, or its remote leg on an input source).
   void add_demand(int task_uid, const Resources& demand);
   void remove_demand(int task_uid);
-  bool has_demand(int task_uid) const {
-    return task_demands_.contains(task_uid);
-  }
 
   // External (non-task) resource usage: data ingestion, evacuation,
   // re-replication (paper §4.3). Absolute usage rates, not deltas.
@@ -58,10 +55,6 @@ class Machine {
     return ratios_[static_cast<std::size_t>(r)];
   }
   bool memory_thrashing() const { return thrashing_; }
-
-  // Sum of all task demands plus external usage (what the machine *would*
-  // consume with no capacity limits).
-  Resources total_demand() const { return total_task_demand_ + external_usage_; }
 
   // Actual consumption: granted rates (demand * share ratio) plus external
   // usage, capped at capacity. This is what the resource tracker's OS

@@ -77,17 +77,17 @@ class Simulator {
   SimResult run(Scheduler& scheduler);
 
   // ---- stepped execution (DESIGN.md §14) ----
-  // run() is prepare() + a step_one() loop + finalize(); SimEngine drives
-  // the same three phases under an external clock. One event is processed
-  // per step; `limit` leaves events at/after it (exclusive) or strictly
-  // after it (inclusive) in the queue for a later step.
-  enum class StepStatus {
-    kProcessed,  // one event consumed
-    kIdle,       // queue empty after pumping, or past max_time
-    kCutoff,     // next event lies beyond `limit`
-  };
+  // run() is prepare() + drain() + finalize(); SimEngine drives the same
+  // phases under an external clock. step_one() processes one event and
+  // returns true, or returns false when there is none to process: the
+  // queue is empty after pumping, the run is past max_time or halted, or
+  // the next event lies at/after `limit` (exclusive) or strictly after it
+  // (inclusive) and stays queued for a later step.
   void prepare(Scheduler& scheduler);
-  StepStatus step_one(Scheduler& scheduler, SimTime limit, bool inclusive);
+  bool step_one(Scheduler& scheduler, SimTime limit, bool inclusive);
+  // Steps until `jobs` jobs are completed or doomed, or nothing is left
+  // to process.
+  void drain(Scheduler& scheduler, long jobs);
   SimResult finalize();
   // Abandons every unfinished, undoomed resident job (the still-queued
   // tail of the source is the caller's to account) and stops scheduling.
@@ -104,7 +104,6 @@ class Simulator {
     return past_max_time_ || halted_ || events_.empty() ||
            events_.top().time >= t;
   }
-  long completed_or_doomed() const { return completed_jobs_ + doomed_jobs_; }
   long completed_jobs() const { return completed_jobs_; }
   bool halted() const { return halted_; }
 
@@ -119,6 +118,7 @@ class Simulator {
   // locs_, and (kNoisy) draws the job's noise factors — the single path
   // both modes use, so draw order and uid layout agree bit for bit.
   JobState& append_job(const JobSpec& spec);
+  // The spec check both modes run on every job before it is appended.
   void validate_job_spec(const JobSpec& spec) const;
   void push(Event e) {
     e.seq = next_seq_++;
@@ -136,6 +136,10 @@ class Simulator {
   // prefix.
   void retire_job(JobState& job);
   void pop_retired_prefix();
+  // Folds `job` into the makespan bounds and (unless records are
+  // dropped) appends its JobRecord: at retirement, or at finalize() for
+  // every job still resident.
+  void record_job(const JobState& job);
 
   // ---- event handlers ----
   void on_arrival(JobId job);
@@ -145,6 +149,11 @@ class Simulator {
   void on_activity(int index, bool start);
   void on_machine_down(MachineId m);
   void on_machine_up(MachineId m);
+  // The transition both share once nesting has settled it: churn
+  // counters, up capacity, replica mask, localities, external usage and
+  // the rack uplink; going down, every attempt touching the machine is
+  // killed or fails its reads over first.
+  void set_machine_up(MachineId m, bool up);
   void failover_reads(int uid);
 
   // ---- churn helpers ----
@@ -210,6 +219,12 @@ class Simulator {
   void start_task(const Probe& probe);
   void complete_task(int uid, bool failed,
                      trace::KillReason reason = trace::KillReason::kFault);
+  // The true books of a running attempt: its placement's demand on the
+  // host and on every remote leg (each machine marked dirty) and its
+  // job's current allocation. Every Machine::add_demand/remove_demand
+  // goes through this pair; the scheduler's estimate books do not.
+  void charge(JobState& job, const TaskState& task);
+  void release(JobState& job, const TaskState& task);
   void materialize_stage(JobState& job, int stage_index);
   void make_stage_runnable(JobState& job, int stage_index);
 
@@ -272,11 +287,8 @@ class Simulator {
   // is `local_frac`; reuses p's remote-leg buffer.
   void build_probe(const JobState& job, int stage_index, int task_index,
                    MachineId machine, double local_frac, Probe& p) const;
-  // When `has_young` is non-null it is set to whether the machine hosts a
-  // task still inside the ramp-up window — i.e. whether the kUsage view
-  // of this machine is time-dependent and must be recomputed next pass
-  // even without a demand change.
-  Resources tracker_available(MachineId m, bool* has_young = nullptr) const;
+  // Machine m's availability as its tracker reports it (§4.1).
+  Resources tracker_available(MachineId m) const;
 
   void run_pass(Scheduler& scheduler);
   void sample_fairness(double dt);
@@ -332,24 +344,11 @@ class Simulator {
   std::vector<char> dirty_flags_;
   std::vector<MachineId> dirty_list_;
 
-  // ---- scheduler-view caches (DESIGN.md §8; naive_scheduler_view
-  // bypasses them all). Caches are lazy recompute-on-dirty, never
-  // incremental arithmetic: a served value is always the bit-identical
-  // output of the naive recomputation it replaced.
-  //
-  // Availability cache: tracker_available(m) from the previous pass,
-  // reusable while nothing changed the machine's books. avail_dirty_ is
-  // set by mark_dirty() and by the est-book updates that do not touch
-  // true demands; unlike dirty_flags_ it survives until the next pass
-  // consumes it. ramping_ flags machines whose kUsage view decays with
-  // time (a hosted task inside the ramp-up window): they recompute every
-  // pass until the youngster ages out.
-  std::vector<Resources> avail_cache_;
-  std::vector<char> avail_dirty_;
-  std::vector<char> ramping_;
-  // Probes and group estimates are served from state each stage owns
-  // (StageState: locality index, probe slots, estimate slot; DESIGN.md
-  // §8.3).
+  // ---- scheduler-view state (DESIGN.md §8.3; naive_scheduler_view
+  // bypasses it). Probes and group estimates are served from state each
+  // stage owns (StageState: locality index, probe slots, estimate slot),
+  // stamped with these versions; a served value is always the
+  // bit-identical output of the naive recomputation it replaced.
   std::uint64_t churn_version_ = 0;
   std::uint64_t profile_version_ = 0;
   int runnable_total_ = 0;  // cluster-wide runnable tasks (pass backlog)
@@ -400,35 +399,15 @@ class Simulator::ContextImpl final : public SchedulerContext {
  public:
   // The pass's availability view lives in SoA planes (DESIGN.md §12):
   // one lane per machine (real machines, then rack uplinks), built here
-  // from the tracker caches and mutated only by place()/preempt() below —
-  // so the planes stay coherent with available() by construction, through
-  // every placement commit. Cross-pass mutations (task completion, churn
-  // up/down, tracker usage updates) land in avail_cache_/avail_dirty_ and
-  // flow in at the next pass's rebuild.
+  // from every machine's tracker report and mutated only by
+  // place()/preempt() below — so the planes stay coherent with
+  // available() by construction, through every placement commit.
   explicit ContextImpl(Simulator& sim) : sim_(sim) {
     const std::size_t n = sim_.machines_.size();
     avail_.reset(n);
-    if (sim_.config_.naive_scheduler_view) {
-      for (std::size_t m = 0; m < n; ++m) {
-        avail_.set(m, sim_.tracker_available(static_cast<MachineId>(m)));
-        sim_.perf_.avail_recomputes++;
-      }
-      return;
-    }
-    const bool usage = sim_.config_.tracker == TrackerMode::kUsage;
-    for (std::size_t m = 0; m < n; ++m) {
-      if (sim_.avail_dirty_[m] || (usage && sim_.ramping_[m])) {
-        bool young = false;
-        sim_.avail_cache_[m] =
-            sim_.tracker_available(static_cast<MachineId>(m), &young);
-        sim_.ramping_[m] = young ? 1 : 0;
-        sim_.avail_dirty_[m] = 0;
-        sim_.perf_.avail_recomputes++;
-      } else {
-        sim_.perf_.avail_cache_hits++;
-      }
-      avail_.set(m, sim_.avail_cache_[m]);
-    }
+    for (std::size_t m = 0; m < n; ++m)
+      avail_.set(m, sim_.tracker_available(static_cast<MachineId>(m)));
+    sim_.perf_.avail_recomputes += static_cast<long>(n);
   }
 
   SimTime now() const override { return sim_.now_; }
@@ -864,28 +843,7 @@ bool Simulator::ContextImpl::preempt(int task_uid) {
 Simulator::Simulator(const SimConfig& config, const Workload& workload)
     : config_(config), interference_(config.interference), rng_(config.seed) {
   init_cluster();
-
-  if (auto msg = validate(workload, declared_labels_); !msg.empty())
-    throw std::invalid_argument("invalid workload: " + msg);
-  // Replica locations must refer to machines this cluster actually has
-  // (a workload generated for a bigger cluster would index out of range).
-  const auto n = static_cast<MachineId>(num_real_machines_);
-  for (const auto& job : workload.jobs) {
-    for (const auto& stage : job.stages) {
-      for (const auto& task : stage.tasks) {
-        for (const auto& split : task.inputs) {
-          for (MachineId r : split.replicas) {
-            if (r < 0 || r >= n) {
-              throw std::invalid_argument(
-                  "invalid workload: job '" + job.name +
-                  "' references replica machine " + std::to_string(r) +
-                  " but the cluster has " + std::to_string(n) + " machines");
-            }
-          }
-        }
-      }
-    }
-  }
+  for (const JobSpec& spec : workload.jobs) validate_job_spec(spec);
   init_states(workload);
 
   if (config_.trace.enabled) {
@@ -914,82 +872,12 @@ Simulator::Simulator(const SimConfig& config, JobSource& source)
 }
 
 void Simulator::init_cluster() {
-  // An explicit machine_capacities that contradicts an explicit
-  // num_machines is a config bug: resolved_capacities() silently prefers
-  // the vector, so the caller would simulate a different cluster than the
-  // one they asked for. The default num_machines counts as "unspecified".
-  if (!config_.machine_capacities.empty() &&
-      config_.num_machines != kDefaultNumMachines &&
-      config_.num_machines !=
-          static_cast<int>(config_.machine_capacities.size())) {
-    throw std::invalid_argument(
-        "SimConfig: num_machines=" + std::to_string(config_.num_machines) +
-        " contradicts machine_capacities.size()=" +
-        std::to_string(config_.machine_capacities.size()));
-  }
+  if (auto msg = validate(config_); !msg.empty())
+    throw std::invalid_argument(msg);
   const auto caps = config_.resolved_capacities();
-  if (caps.empty()) throw std::invalid_argument("no machines configured");
-  // Each check states the legal range positively, so NaN — which fails
-  // every comparison — is rejected along with out-of-range values.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // An uplink's capacity is the rack's NIC total / rack_oversubscription.
-  if (config_.machines_per_rack < 0 ||
-      (config_.machines_per_rack > 0 &&
-       !(0 < config_.rack_oversubscription &&
-         config_.rack_oversubscription < kInf))) {
-    throw std::invalid_argument(
-        "bad rack topology configuration: machines_per_rack must be >= 0 "
-        "and rack_oversubscription finite and > 0");
-  }
-  // Heartbeats and timeline samples re-arm at now + period: a zero,
-  // negative or NaN period would stall virtual time, and with it
-  // max_time, forever.
-  if (!(0 < config_.heartbeat_period && config_.heartbeat_period < kInf)) {
-    throw std::invalid_argument(
-        "SimConfig: heartbeat_period must be finite and > 0");
-  }
-  if (!(0 < config_.timeline_period && config_.timeline_period < kInf)) {
-    throw std::invalid_argument(
-        "SimConfig: timeline_period must be finite and > 0");
-  }
-  // The hard stop: NaN would disable it, +inf would let churn
-  // pre-generation run until memory runs out, and <= 0 ends the run
-  // before its first event.
-  if (!(0 < config_.max_time && config_.max_time < kInf)) {
-    throw std::invalid_argument("SimConfig: max_time must be finite and > 0");
-  }
-  if (!(0 <= config_.churn.mttf && config_.churn.mttf < kInf)) {
-    throw std::invalid_argument("ChurnConfig: mttf must be finite and >= 0");
-  }
-  if (config_.churn.mttf > 0 &&
-      !(0 < config_.churn.mttr && config_.churn.mttr < kInf)) {
-    throw std::invalid_argument(
-        "ChurnConfig: mttr must be finite and > 0 when mttf > 0");
-  }
-  // Machine labels must cover the cluster exactly or not at all — a
-  // partial list would silently leave machines unlabeled, the same class
-  // of bug as the num_machines vs machine_capacities contradiction.
-  if (!config_.machine_labels.empty() &&
-      config_.machine_labels.size() != caps.size()) {
-    throw std::invalid_argument(
-        "SimConfig: machine_labels.size()=" +
-        std::to_string(config_.machine_labels.size()) +
-        " must match the machine count " + std::to_string(caps.size()));
-  }
-  // Cell partitions are validated even when this simulator runs globally:
-  // a config that would mis-shard the federated layer is a bug worth
-  // rejecting wherever it first reaches a simulator (DESIGN.md §14).
-  if (auto msg = validate_cells(config_); !msg.empty()) {
-    throw std::invalid_argument("SimConfig: invalid cell partition: " + msg);
-  }
-  for (const auto& labels : config_.machine_labels) {
-    for (const auto& label : labels) {
-      if (label.empty())
-        throw std::invalid_argument(
-            "SimConfig: machine_labels contains an empty label");
-      declared_labels_.push_back(label);
-    }
-  }
+  for (const auto& labels : config_.machine_labels)
+    declared_labels_.insert(declared_labels_.end(), labels.begin(),
+                            labels.end());
   std::sort(declared_labels_.begin(), declared_labels_.end());
   declared_labels_.erase(
       std::unique(declared_labels_.begin(), declared_labels_.end()),
@@ -1028,9 +916,6 @@ void Simulator::init_cluster() {
   alloc_est_.assign(machines_.size(), Resources{});
   hosted_count_.assign(machines_.size(), 0);
   dirty_flags_.assign(machines_.size(), 0);
-  avail_cache_.assign(machines_.size(), Resources{});
-  avail_dirty_.assign(machines_.size(), 1);  // first pass computes all
-  ramping_.assign(machines_.size(), 0);
 
   // SoA mirror of machines_[*].capacity() (DESIGN.md §12). Real machine
   // capacities never change; uplink lanes are refreshed by
@@ -1046,14 +931,6 @@ void Simulator::init_cluster() {
   up_capacity_ = cluster_capacity_;
 
   churn_events_ = config_.churn.scripted;
-  for (const auto& ev : churn_events_) {
-    if (ev.machine < 0 || ev.machine >= num_real_machines_ ||
-        !(0 <= ev.down_at && ev.down_at < ev.up_at && ev.up_at < kInf)) {
-      throw std::invalid_argument(
-          "ChurnConfig: scripted event needs a valid machine and "
-          "finite 0 <= down_at < up_at");
-    }
-  }
   if (config_.churn.mttf > 0) {
     // Dedicated stream, one sub-stream per machine: enabling churn or
     // resizing the cluster must not perturb task-failure or estimation
@@ -1069,7 +946,6 @@ void Simulator::init_cluster() {
       }
     }
   }
-
 }
 
 void Simulator::init_states(const Workload& workload) {
@@ -1145,6 +1021,8 @@ JobState& Simulator::append_job(const JobSpec& spec) {
 void Simulator::validate_job_spec(const JobSpec& spec) const {
   if (auto msg = validate(spec, declared_labels_); !msg.empty())
     throw std::invalid_argument("invalid workload: " + msg);
+  // Replica locations must refer to machines this cluster actually has
+  // (a workload generated for a bigger cluster would index out of range).
   const auto n = static_cast<MachineId>(num_real_machines_);
   for (const auto& stage : spec.stages) {
     for (const auto& task : stage.tasks) {
@@ -1223,19 +1101,7 @@ void Simulator::admit_job(JobSpec&& spec) {
 }
 
 void Simulator::retire_job(JobState& job) {
-  if (!config_.stream.drop_job_records) {
-    JobRecord rec;
-    rec.id = job.id;
-    rec.name = job.name;
-    rec.template_id = job.template_id;
-    rec.arrival = job.arrival;
-    rec.finish = job.finish;
-    rec.total_tasks = job.total_tasks;
-    rec.unfairness_integral = job.unfairness_integral;
-    result_.jobs.push_back(std::move(rec));
-  }
-  last_finish_ = std::max(last_finish_, job.finish);
-
+  record_job(job);
   resident_jobs_--;
   resident_tasks_ -= job.total_tasks;
   perf_.jobs_retired++;
@@ -1258,6 +1124,21 @@ void Simulator::pop_retired_prefix() {
     jobs_.pop_front();
     jobs_base_++;
   }
+}
+
+void Simulator::record_job(const JobState& job) {
+  first_arrival_ = std::min(first_arrival_, job.arrival);
+  if (job.finish >= 0) last_finish_ = std::max(last_finish_, job.finish);
+  if (config_.stream.drop_job_records) return;
+  JobRecord rec;
+  rec.id = job.id;
+  rec.name = job.name;
+  rec.template_id = job.template_id;
+  rec.arrival = job.arrival;
+  rec.finish = job.finish;
+  rec.total_tasks = job.total_tasks;
+  rec.unfairness_integral = job.unfairness_integral;
+  result_.jobs.push_back(std::move(rec));
 }
 
 void Simulator::add_rack_legs(MachineId host, PlacementDemand& pd) const {
@@ -1314,8 +1195,7 @@ EstFactors Simulator::est_factors(const JobState& job,
   return {};
 }
 
-Resources Simulator::tracker_available(MachineId m, bool* has_young) const {
-  if (has_young != nullptr) *has_young = false;
+Resources Simulator::tracker_available(MachineId m) const {
   const auto& machine = machines_[static_cast<std::size_t>(m)];
   if (!machine.up()) return Resources{};  // a down machine offers nothing
   if (config_.tracker == TrackerMode::kAllocation) {
@@ -1330,7 +1210,6 @@ Resources Simulator::tracker_available(MachineId m, bool* has_young) const {
     if (t.host != m) continue;  // remote leg, not a hosted task
     const double age = now_ - t.start_time;
     if (age >= config_.ramp_up_window) continue;
-    if (has_young != nullptr) *has_young = true;
     const double scale = config_.ramp_allowance_fraction *
                          (1.0 - age / config_.ramp_up_window);
     used += t.est_local * scale;
@@ -1340,13 +1219,15 @@ Resources Simulator::tracker_available(MachineId m, bool* has_young) const {
 
 SimResult Simulator::run(Scheduler& scheduler) {
   prepare(scheduler);
-  while (completed_jobs_ + doomed_jobs_ < total_jobs_) {
-    if (step_one(scheduler, std::numeric_limits<double>::infinity(),
-                 /*inclusive=*/true) != StepStatus::kProcessed) {
-      break;
-    }
-  }
+  drain(scheduler, total_jobs_);
   return finalize();
+}
+
+void Simulator::drain(Scheduler& scheduler, long jobs) {
+  while (completed_jobs_ + doomed_jobs_ < jobs &&
+         step_one(scheduler, std::numeric_limits<double>::infinity(),
+                  /*inclusive=*/true)) {
+  }
 }
 
 void Simulator::prepare(Scheduler& scheduler) {
@@ -1392,25 +1273,24 @@ void Simulator::prepare(Scheduler& scheduler) {
   }
 }
 
-Simulator::StepStatus Simulator::step_one(Scheduler& scheduler,
-                                          SimTime limit, bool inclusive) {
-  if (past_max_time_ || halted_) return StepStatus::kIdle;
+bool Simulator::step_one(Scheduler& scheduler, SimTime limit,
+                         bool inclusive) {
+  if (past_max_time_ || halted_) return false;
   // Streaming: every job due before (or at) the next event must be in
   // the queue before that event pops, or ordering would drift from
   // batch. No-op in batch mode.
   pump_admissions();
-  if (events_.empty()) return StepStatus::kIdle;
+  if (events_.empty()) return false;
   // A cutoff leaves the event queued: a stepped driver submits arrivals at
   // `limit` before advancing through it, so those arrivals order ahead of
   // co-temporal events exactly as batch mode's upfront pushes would.
-  if (inclusive ? events_.top().time > limit : events_.top().time >= limit) {
-    return StepStatus::kCutoff;
-  }
+  if (inclusive ? events_.top().time > limit : events_.top().time >= limit)
+    return false;
   const Event e = events_.top();
   events_.pop();
   if (e.time > config_.max_time) {
     past_max_time_ = true;
-    return StepStatus::kIdle;
+    return false;
   }
   now_ = std::max(now_, e.time);
   switch (e.type) {
@@ -1455,7 +1335,7 @@ Simulator::StepStatus Simulator::step_one(Scheduler& scheduler,
       run_pass(scheduler);
       break;
   }
-  return StepStatus::kProcessed;
+  return true;
 }
 
 std::vector<JobId> Simulator::halt_resident() {
@@ -1499,20 +1379,7 @@ SimResult Simulator::finalize() {
   // source into finish = -1 records so incomplete runs report the same
   // record set batch mode would.
   for (const auto& job : jobs_) {
-    if (job.retired) continue;
-    first_arrival_ = std::min(first_arrival_, job.arrival);
-    if (!config_.stream.drop_job_records) {
-      JobRecord rec;
-      rec.id = job.id;
-      rec.name = job.name;
-      rec.template_id = job.template_id;
-      rec.arrival = job.arrival;
-      rec.finish = job.finish;
-      rec.total_tasks = job.total_tasks;
-      rec.unfairness_integral = job.unfairness_integral;
-      result_.jobs.push_back(std::move(rec));
-    }
-    if (job.finish >= 0) last_finish_ = std::max(last_finish_, job.finish);
+    if (!job.retired) record_job(job);
   }
   if (streaming()) {
     JobSpec spec;
@@ -1875,31 +1742,18 @@ void Simulator::start_task(const Probe& probe) {
   task.est_local = probe.demand;
   task.est_remote = probe.remote;
 
-  machines_[static_cast<std::size_t>(probe.machine)].add_demand(task.uid,
-                                                                pd.local);
-  mark_dirty(probe.machine);
+  charge(job, task);
   alloc_est_[static_cast<std::size_t>(probe.machine)] += task.est_local;
   hosted_count_[static_cast<std::size_t>(probe.machine)]++;
   if (!job.hosted_per_machine.empty())
     job.hosted_per_machine[static_cast<std::size_t>(probe.machine)]++;
-  for (const auto& leg : pd.remote) {
-    const Resources r = leg_resources(leg);
-    machines_[static_cast<std::size_t>(leg.machine)].add_demand(task.uid, r);
-    mark_dirty(leg.machine);
-  }
-  for (const auto& leg : task.est_remote) {
-    const Resources r = leg_resources(leg);
-    alloc_est_[static_cast<std::size_t>(leg.machine)] += r;
-    // est legs normally coincide with pd.remote (already marked), but the
-    // kAllocation view reads alloc_est_, so flag them explicitly.
-    avail_dirty_[static_cast<std::size_t>(leg.machine)] = 1;
-  }
+  for (const auto& leg : task.est_remote)
+    alloc_est_[static_cast<std::size_t>(leg.machine)] += leg_resources(leg);
 
   remove_runnable(stage, probe.task_index);
   stage.runnable--;
   stage.running++;
   job.running_tasks++;
-  job.current_alloc += pd.local;
   running_total_++;
 
   if (tracer_) {
@@ -1947,30 +1801,20 @@ void Simulator::complete_task(int uid, bool failed,
     tracer_->record(ev);
   }
 
-  machines_[static_cast<std::size_t>(task.host)].remove_demand(uid);
-  mark_dirty(task.host);
+  release(job, task);
   alloc_est_[static_cast<std::size_t>(task.host)] =
       (alloc_est_[static_cast<std::size_t>(task.host)] - task.est_local)
           .max_zero();
   hosted_count_[static_cast<std::size_t>(task.host)]--;
   if (!job.hosted_per_machine.empty())
     job.hosted_per_machine[static_cast<std::size_t>(task.host)]--;
-  for (const auto& leg : task.placement.remote) {
-    machines_[static_cast<std::size_t>(leg.machine)].remove_demand(uid);
-    mark_dirty(leg.machine);
-  }
   for (const auto& leg : task.est_remote) {
-    const Resources r = leg_resources(leg);
-    alloc_est_[static_cast<std::size_t>(leg.machine)] =
-        (alloc_est_[static_cast<std::size_t>(leg.machine)] - r).max_zero();
-    // After a read failover the est legs can differ from placement.remote
-    // (marked above): flag them for the availability cache explicitly.
-    avail_dirty_[static_cast<std::size_t>(leg.machine)] = 1;
+    auto& booked = alloc_est_[static_cast<std::size_t>(leg.machine)];
+    booked = (booked - leg_resources(leg)).max_zero();
   }
 
   stage.running--;
   job.running_tasks--;
-  job.current_alloc = (job.current_alloc - task.placement.local).max_zero();
   running_total_--;
 
   if (failed) {
@@ -2047,12 +1891,29 @@ void Simulator::complete_task(int uid, bool failed,
   refresh_dirty();
 }
 
+void Simulator::charge(JobState& job, const TaskState& task) {
+  machines_[static_cast<std::size_t>(task.host)].add_demand(
+      task.uid, task.placement.local);
+  mark_dirty(task.host);
+  for (const auto& leg : task.placement.remote) {
+    machines_[static_cast<std::size_t>(leg.machine)].add_demand(
+        task.uid, leg_resources(leg));
+    mark_dirty(leg.machine);
+  }
+  job.current_alloc += task.placement.local;
+}
+
+void Simulator::release(JobState& job, const TaskState& task) {
+  machines_[static_cast<std::size_t>(task.host)].remove_demand(task.uid);
+  mark_dirty(task.host);
+  for (const auto& leg : task.placement.remote) {
+    machines_[static_cast<std::size_t>(leg.machine)].remove_demand(task.uid);
+    mark_dirty(leg.machine);
+  }
+  job.current_alloc = (job.current_alloc - task.placement.local).max_zero();
+}
+
 void Simulator::mark_dirty(MachineId m) {
-  // Anything that changes a machine's true demands, capacity or external
-  // usage also changes its tracker view: flag it for the next pass's
-  // availability cache (consumed there, unlike dirty_flags_ which
-  // refresh_dirty() clears).
-  avail_dirty_[static_cast<std::size_t>(m)] = 1;
   if (!dirty_flags_[static_cast<std::size_t>(m)]) {
     dirty_flags_[static_cast<std::size_t>(m)] = 1;
     dirty_list_.push_back(m);
@@ -2257,50 +2118,64 @@ void Simulator::update_rack_uplink(MachineId member) {
 
 void Simulator::on_machine_down(MachineId m) {
   if (down_depth_[static_cast<std::size_t>(m)]++ > 0) return;  // nested
-  down_count_++;
+  set_machine_up(m, false);
+}
+
+void Simulator::on_machine_up(MachineId m) {
+  auto& depth = down_depth_[static_cast<std::size_t>(m)];
+  if (depth <= 0) return;  // unmatched up event (defensive)
+  if (--depth > 0) return;  // another down window still holds it
+  set_machine_up(m, true);
+}
+
+void Simulator::set_machine_up(MachineId m, bool up) {
+  Machine& machine = machines_[static_cast<std::size_t>(m)];
+  down_count_ += up ? -1 : 1;
   churn_version_++;  // probes depend on replica masks and uplink capacity
-  result_.churn.machines_failed++;
+  ++(up ? result_.churn.machines_recovered : result_.churn.machines_failed);
   if (tracer_) {
     trace::Event ev;
-    ev.kind = trace::EventKind::kMachineDown;
+    ev.kind =
+        up ? trace::EventKind::kMachineUp : trace::EventKind::kMachineDown;
     ev.time = now_;
     ev.a = m;
     tracer_->record(ev);
   }
   account_up_capacity();
-  up_capacity_ =
-      (up_capacity_ - machines_[static_cast<std::size_t>(m)].capacity())
-          .max_zero();
+  up_capacity_ = up ? up_capacity_ + machine.capacity()
+                    : (up_capacity_ - machine.capacity()).max_zero();
   up_fraction_ = compute_up_fraction();
 
-  machine_up_[static_cast<std::size_t>(m)] = 0;
+  machine_up_[static_cast<std::size_t>(m)] = up ? 1 : 0;
   revalidate_localities();
-  machines_[static_cast<std::size_t>(m)].set_up(false);
-  machines_[static_cast<std::size_t>(m)].set_external_usage(Resources{});
+  machine.set_up(up);
+  // Background activities suspend with the machine; recovery resumes
+  // whatever windows are still open.
+  machine.set_external_usage(
+      up ? external_active_[static_cast<std::size_t>(m)] : Resources{});
 
-  // Every running attempt touching the machine is affected (sorted for a
-  // deterministic order — the demands map iteration order is not part of
-  // the simulation contract). Tasks hosted on it lose their attempt and
-  // re-queue. Tasks merely streaming input from it fail the read over to
-  // a surviving replica (HDFS-style) and keep their progress; only when
-  // no replica of some input survives is the reader killed too.
-  std::vector<int> victims;
-  victims.reserve(machines_[static_cast<std::size_t>(m)].demands().size());
-  for (const auto& [uid, demand] :
-       machines_[static_cast<std::size_t>(m)].demands()) {
-    victims.push_back(uid);
-  }
-  std::sort(victims.begin(), victims.end());
-  for (int uid : victims) {
-    TaskState& t = task_at(uid);
-    if (t.status != TaskStatus::kRunning) continue;
-    if (t.host != m && inputs_available(t.spec, machine_up_)) {
-      failover_reads(uid);
-      continue;
+  if (!up) {
+    // Every running attempt touching the machine is affected (sorted for
+    // a deterministic order — the demands map iteration order is not part
+    // of the simulation contract). Tasks hosted on it lose their attempt
+    // and re-queue. Tasks merely streaming input from it fail the read
+    // over to a surviving replica (HDFS-style) and keep their progress;
+    // only when no replica of some input survives is the reader killed.
+    std::vector<int> victims;
+    victims.reserve(machine.demands().size());
+    for (const auto& [uid, demand] : machine.demands()) victims.push_back(uid);
+    std::sort(victims.begin(), victims.end());
+    for (int uid : victims) {
+      TaskState& t = task_at(uid);
+      if (t.status != TaskStatus::kRunning) continue;
+      if (t.host != m && inputs_available(t.spec, machine_up_)) {
+        failover_reads(uid);
+        continue;
+      }
+      result_.churn.task_attempts_lost++;
+      result_.churn.work_lost_seconds += now_ - t.start_time;
+      complete_task(uid, /*failed=*/true, trace::KillReason::kMachineFailure);
     }
-    result_.churn.task_attempts_lost++;
-    result_.churn.work_lost_seconds += now_ - t.start_time;
-    complete_task(uid, /*failed=*/true, trace::KillReason::kMachineFailure);
   }
 
   update_rack_uplink(m);
@@ -2318,60 +2193,17 @@ void Simulator::failover_reads(int uid) {
   // set. The scheduler's estimate books are left alone: completion
   // subtracts the same estimates that were added at start.
   update_progress(t);
-  machines_[static_cast<std::size_t>(t.host)].remove_demand(uid);
-  mark_dirty(t.host);
-  for (const auto& leg : t.placement.remote) {
-    machines_[static_cast<std::size_t>(leg.machine)].remove_demand(uid);
-    mark_dirty(leg.machine);
-  }
-  job.current_alloc = (job.current_alloc - t.placement.local).max_zero();
-
+  release(job, t);
   PlacementDemand pd = compute_placement(
       t.spec, t.host, static_cast<unsigned long long>(t.uid), &machine_up_);
   add_rack_legs(t.host, pd);
-  t.placement = pd;
-  job.current_alloc += pd.local;
-  machines_[static_cast<std::size_t>(t.host)].add_demand(uid, pd.local);
-  for (const auto& leg : pd.remote) {
-    machines_[static_cast<std::size_t>(leg.machine)].add_demand(
-        uid, leg_resources(leg));
-    mark_dirty(leg.machine);
-  }
+  t.placement = std::move(pd);
+  charge(job, t);
   // Both the natural duration and the share ratios may have changed;
   // the sentinel defeats refresh_dirty's same-speed shortcut so a fresh
   // finish prediction is always issued.
   t.speed = -1;
   result_.churn.read_failovers++;
-}
-
-void Simulator::on_machine_up(MachineId m) {
-  auto& depth = down_depth_[static_cast<std::size_t>(m)];
-  if (depth <= 0) return;  // unmatched up event (defensive)
-  if (--depth > 0) return;  // another down window still holds it
-  down_count_--;
-  churn_version_++;  // probes depend on replica masks and uplink capacity
-  result_.churn.machines_recovered++;
-  if (tracer_) {
-    trace::Event ev;
-    ev.kind = trace::EventKind::kMachineUp;
-    ev.time = now_;
-    ev.a = m;
-    tracer_->record(ev);
-  }
-  account_up_capacity();
-  up_capacity_ += machines_[static_cast<std::size_t>(m)].capacity();
-  up_fraction_ = compute_up_fraction();
-
-  machine_up_[static_cast<std::size_t>(m)] = 1;
-  revalidate_localities();
-  machines_[static_cast<std::size_t>(m)].set_up(true);
-  // Resume whatever background activity windows are still open.
-  machines_[static_cast<std::size_t>(m)].set_external_usage(
-      external_active_[static_cast<std::size_t>(m)]);
-
-  update_rack_uplink(m);
-  mark_dirty(m);
-  refresh_dirty();
 }
 
 // Push-queue JobSource feeding a stepped engine (DESIGN.md §14): the
@@ -2450,11 +2282,7 @@ struct SimEngine::Impl {
 
 SimEngine::SimEngine(const SimConfig& config, Scheduler& scheduler,
                      long expected_jobs)
-    : impl_(std::make_unique<Impl>(config, scheduler, expected_jobs)) {
-  if (expected_jobs < 0) {
-    throw std::invalid_argument("SimEngine: negative expected_jobs");
-  }
-}
+    : impl_(std::make_unique<Impl>(config, scheduler, expected_jobs)) {}
 
 SimEngine::~SimEngine() = default;
 
@@ -2472,14 +2300,12 @@ void SimEngine::submit(const JobSpec& spec) {
 }
 
 void SimEngine::advance_before(SimTime t) {
-  while (impl_->sim.step_one(*impl_->scheduler, t, /*inclusive=*/false) ==
-         Simulator::StepStatus::kProcessed) {
+  while (impl_->sim.step_one(*impl_->scheduler, t, /*inclusive=*/false)) {
   }
 }
 
 void SimEngine::advance_through(SimTime t) {
-  while (impl_->sim.step_one(*impl_->scheduler, t, /*inclusive=*/true) ==
-         Simulator::StepStatus::kProcessed) {
+  while (impl_->sim.step_one(*impl_->scheduler, t, /*inclusive=*/true)) {
   }
 }
 
@@ -2502,19 +2328,11 @@ SimResult SimEngine::finish() {
   }
   impl_->finished = true;
   Simulator& sim = impl_->sim;
-  if (!sim.halted()) {
-    // Same loop shape as run(), with the engine's own termination bound:
-    // every *submitted* job accounted for, rather than the global
-    // expectation (this cell may only ever see a share of it).
-    while (sim.completed_or_doomed() < impl_->submitted) {
-      if (sim.step_one(*impl_->scheduler,
-                       std::numeric_limits<double>::infinity(),
-                       /*inclusive=*/true) !=
-          Simulator::StepStatus::kProcessed) {
-        break;
-      }
-    }
-  }
+  // run()'s drain with the engine's own termination bound: every
+  // *submitted* job accounted for, rather than the global expectation
+  // (this cell may only ever see a share of it). A halted engine steps
+  // nothing.
+  sim.drain(*impl_->scheduler, impl_->submitted);
   SimResult result = sim.finalize();
   // finalize() judged completion against the global expectation; the
   // engine's contract is "every job submitted to it finished".

@@ -21,10 +21,10 @@
 namespace tetris::sim {
 
 // Runs `workload` under `scheduler` and returns the measured result.
-// Throws std::invalid_argument on malformed workloads. When
-// config.stream.enabled is set, the workload (which must be sorted by
-// arrival) is driven through the streaming path below instead of being
-// materialized upfront.
+// Throws std::invalid_argument on a config that fails validate() and on
+// malformed workloads. When config.stream.enabled is set, the workload
+// (which must be sorted by arrival) is driven through the streaming path
+// below instead of being materialized upfront.
 SimResult simulate(const SimConfig& config, const Workload& workload,
                    Scheduler& scheduler);
 

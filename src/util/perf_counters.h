@@ -28,8 +28,10 @@ struct PerfCounters {
   long probe_cache_misses = 0;     // probes computed into a slot
   long estimate_cache_hits = 0;    // group estimates replayed from a slot
   long estimate_cache_misses = 0;  // group-estimate recomputes
-  long avail_cache_hits = 0;       // machines whose availability was reused
-  long avail_recomputes = 0;       // machines rescanned by the tracker
+  // Always 0: the availability cache is gone (DESIGN.md §8.3). Kept only
+  // because perfbench reads it.
+  long avail_cache_hits = 0;
+  long avail_recomputes = 0;  // machines whose availability a pass built
 
   // Streaming-ingestion bookkeeping (DESIGN.md §11); all zero in batch
   // mode. Peaks merge with max under +=, so aggregated counters report

@@ -212,7 +212,6 @@ TEST_P(EquivalenceTest, AllPathsAndThreadCountsAreBitIdentical) {
   EXPECT_EQ(oracle.perf.simd_blocks, 0);
   EXPECT_EQ(oracle.perf.scalar_tail_evals, 0);
   // ... and the optimized path must really be optimized.
-  EXPECT_GT(r.perf.avail_cache_hits, 0);
   EXPECT_GT(r.perf.probe_cache_hits + r.perf.probe_reuses +
                 r.perf.sticky_rejects,
             0);
@@ -361,7 +360,6 @@ TEST(EquivalenceCounters, CachesAreExercised) {
   EXPECT_GT(r.perf.estimate_cache_misses, 0);
   EXPECT_GT(r.perf.estimate_cache_hits, 0);
   EXPECT_GT(r.perf.avail_recomputes, 0);
-  EXPECT_GT(r.perf.avail_cache_hits, 0);
   EXPECT_GT(r.perf.score_evals, 0);
   EXPECT_GT(r.perf.probes_issued, 0);
   // The scheduler's lifetime counters mirror the context sink.

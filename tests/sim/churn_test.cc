@@ -183,6 +183,63 @@ TEST(Churn, RemoteReaderFailsOverToSurvivingReplica) {
   EXPECT_LE(r.churn.read_failovers, 1);
 }
 
+TEST(Churn, BackgroundActivitiesSuspendWithTheirMachine) {
+  // Machine 0 is down for [30, 60). Three activities on it, each on its
+  // own resource so the cluster utilization tells them apart: disk reads
+  // over [0, 100) span the outage, disk writes over [40, 100) start during
+  // it, network sends over [10, 50) end during it. A CPU-only task keeps
+  // the run going (killed on machine 0 at t=30, it reruns on machine 1).
+  Workload w;
+  JobSpec job;
+  StageSpec stage;
+  stage.tasks = {cpu_task(1, 1, 120)};
+  job.stages.push_back(stage);
+  w.jobs.push_back(job);
+
+  SimConfig cfg = small_cluster(2);
+  cfg.churn.scripted = {{0, 30.0, 60.0}};
+  cfg.collect_timeline = true;
+  cfg.timeline_period = 5.0;
+  Resources reads, writes, sends;
+  reads[Resource::kDiskRead] = 50 * kMB;
+  writes[Resource::kDiskWrite] = 40 * kMB;
+  sends[Resource::kNetOut] = 25 * kMB;
+  cfg.activities = {{0, 0.0, 100.0, reads},
+                    {0, 40.0, 100.0, writes},
+                    {0, 10.0, 50.0, sends}};
+
+  GreedyFitScheduler sched;
+  const SimResult r = simulate(cfg, w, sched);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(r.churn.machines_failed, 1);
+
+  // Cluster capacity: 200 MB/s of disk each way, 250 MB/s of network out.
+  const auto util = [&](SimTime t, Resource res) {
+    for (const auto& s : r.timeline) {
+      if (s.time == t) return s.utilization[static_cast<std::size_t>(res)];
+    }
+    ADD_FAILURE() << "no timeline sample at t=" << t;
+    return -1.0;
+  };
+  struct Expect {
+    SimTime t;
+    double reads, writes, sends;
+  };
+  const Expect expected[] = {
+      {20, 0.25, 0, 0.1},   // before the outage: reads and sends
+      {45, 0, 0, 0},        // down: nothing counts, writes start unseen
+      {55, 0, 0, 0},        // down: sends end unseen
+      {70, 0.25, 0.2, 0},   // recovered: reads resume, writes appear
+      {95, 0.25, 0.2, 0},   //   and sends never come back
+      {105, 0, 0, 0},       // every window has closed
+  };
+  for (const Expect& e : expected) {
+    EXPECT_NEAR(util(e.t, Resource::kDiskRead), e.reads, 1e-12) << e.t;
+    EXPECT_NEAR(util(e.t, Resource::kDiskWrite), e.writes, 1e-12) << e.t;
+    EXPECT_NEAR(util(e.t, Resource::kNetOut), e.sends, 1e-12) << e.t;
+  }
+}
+
 TEST(Churn, AttemptAccountingReconcilesUnderRandomChurn) {
   // Every kill increments exactly one task's attempt counter: the sum of
   // extra attempts over all tasks equals task_attempts_lost.

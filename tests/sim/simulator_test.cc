@@ -334,11 +334,16 @@ TEST(Simulator, RejectsNonPositiveOrNonFiniteHeartbeatPeriod) {
   }
 }
 
-// Churn, rack and cell-kill times and the max_time hard stop against NaN,
-// +-inf and a negative value (and 0 where 0 is illegal). Checks written
-// `x < 0` let NaN through: a NaN mttr scheduled recoveries at NaN time, a
-// NaN rack_oversubscription gave every uplink NaN capacity, a NaN
-// max_time disabled the hard stop. Every value must be rejected.
+// Churn, rack and cell-kill times, the max_time hard stop and every other
+// numeric SimConfig knob against NaN, +-inf and a negative value (and 0
+// where 0 is illegal, and a value past the top of a bounded range).
+// Checks written `x < 0` let NaN through: a NaN mttr scheduled recoveries
+// at NaN time, a NaN rack_oversubscription gave every uplink NaN
+// capacity, a NaN max_time disabled the hard stop, a NaN noise_cov gave
+// NaN demand factors. An activity on a machine the cluster lacks would
+// index past the machine array (federated runs would drop it), and a
+// task_failure_prob of 1 or more would re-run every attempt until
+// max_time. Every value must be rejected.
 TEST(Simulator, RejectsNaNInfiniteAndNegativeChurnRackAndKillTimes) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -352,7 +357,12 @@ TEST(Simulator, RejectsNaNInfiniteAndNegativeChurnRackAndKillTimes) {
     const char* name;
     void (*set)(federation::FederationConfig&, double);
     bool rejects_zero = false;
+    // An illegal value above the legal range; NaN for knobs unbounded
+    // above (already covered by the NaN case).
+    double too_high = kNaN;
   };
+  // Integer knobs have no NaN or infinity, so their rows ignore the value
+  // and set an illegal one: -1, or machine 2 of the 2-machine cluster.
   const Knob knobs[] = {
       // Churn stays off here: at +inf, churn pre-generation would run
       // until memory ran out instead of failing.
@@ -388,9 +398,98 @@ TEST(Simulator, RejectsNaNInfiniteAndNegativeChurnRackAndKillTimes) {
        [](federation::FederationConfig& fc, double v) {
          fc.kills = {{1, v}};
        }},
+      {"machine_capacity",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.machine_capacity[Resource::kCpu] = v;
+       }},
+      {"activity machine -1",
+       [](federation::FederationConfig& fc, double) {
+         fc.base.activities = {{-1, 0.0, 5.0, Resources::uniform(1)}};
+       }},
+      {"activity machine 2 of 2",
+       [](federation::FederationConfig& fc, double) {
+         fc.base.activities = {{2, 0.0, 5.0, Resources::uniform(1)}};
+       }},
+      {"activity start",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.activities = {{0, v, 5.0, Resources::uniform(1)}};
+       }},
+      {"activity end",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.activities = {{0, 1.0, v, Resources::uniform(1)}};
+       }},
+      {"activity usage",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.activities = {{0, 0.0, 5.0, Resources::uniform(v)}};
+       }},
+      {"task_failure_prob",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.task_failure_prob = v;
+       },
+       false, 1.0},
+      {"ramp_up_window",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.ramp_up_window = v;
+       },
+       true},
+      {"ramp_allowance_fraction",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.ramp_allowance_fraction = v;
+       },
+       false, 1.5},
+      {"estimation.noise_cov",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.estimation.noise_cov = v;
+       }},
+      {"estimation.overestimate_factor",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.estimation.overestimate_factor = v;
+       },
+       true},
+      {"estimation.profile_after",
+       [](federation::FederationConfig& fc, double) {
+         fc.base.estimation.profile_after = -1;
+       }},
+      {"stream.lookahead",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.stream.lookahead = v;
+       }},
+      {"stream.max_resident_tasks",
+       [](federation::FederationConfig& fc, double) {
+         fc.base.stream.max_resident_tasks = -1;
+       }},
+      {"stream.max_resident_jobs",
+       [](federation::FederationConfig& fc, double) {
+         fc.base.stream.max_resident_jobs = -1;
+       }},
+      {"interference.disk_seek_alpha",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.interference.disk_seek_alpha = v;
+       },
+       false, 1.5},
+      {"interference.incast_alpha",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.interference.incast_alpha = v;
+       },
+       false, 1.5},
+      {"interference.min_efficiency",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.interference.min_efficiency = v;
+       },
+       true, 1.5},
+      {"interference.penalty_ramp",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.interference.penalty_ramp = v;
+       },
+       true},
+      {"interference.mem_thrash_factor",
+       [](federation::FederationConfig& fc, double v) {
+         fc.base.interference.mem_thrash_factor = v;
+       },
+       true, 1.5},
   };
   for (const Knob& k : knobs) {
-    for (const double v : {kNaN, kInf, -kInf, -1.0, 0.0}) {
+    for (const double v : {kNaN, kInf, -kInf, -1.0, 0.0, k.too_high}) {
       if (v == 0 && !k.rejects_zero) continue;
       federation::FederationConfig fc;
       fc.base = small_cluster(2);
