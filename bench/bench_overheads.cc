@@ -27,7 +27,6 @@
 #include "analysis/export.h"
 #include "bench/harness.h"
 #include "core/demand_estimator.h"
-#include "tracker/token_bucket.h"
 
 using namespace tetris;
 
@@ -74,16 +73,6 @@ void BM_DemandEstimatorObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DemandEstimatorObserve);
-
-void BM_TokenBucket(benchmark::State& state) {
-  tracker::TokenBucket bucket(100 * kMB, 400 * kMB);
-  double now = 0;
-  for (auto _ : state) {
-    now += 1e-4;
-    benchmark::DoNotOptimize(bucket.try_consume(1 * kMB, now));
-  }
-}
-BENCHMARK(BM_TokenBucket);
 
 // Mean pass latency restricted to the heavy passes (backlog at least
 // `cut`): the regime Table 8 talks about. Returns {mean_ms, passes}.
@@ -238,7 +227,7 @@ void print_trace_overhead_table(const bench::Scale& heavy_scale,
     cfg.trace.enabled = traced;
     // Large enough that nothing is dropped mid-run: the comparison
     // should price recording, not ring-buffer recycling.
-    cfg.trace.max_chunks_per_thread = 4096;
+    cfg.trace.max_chunks = 4096;
     core::TetrisConfig tcfg;
     tcfg.name = "tetris-opt";
     const sim::SimResult best =

@@ -162,13 +162,6 @@ std::string chrome_trace_json(const trace::TraceLog& log) {
            << "\",\"args\":{\"machine\":" << ev.a << "}}";
         w.event(os.str());
         break;
-      case trace::EventKind::kUsageReport:
-        seen_machines[ev.a] = true;
-        os << "{\"ph\":\"C\",\"pid\":" << ev.a << ",\"ts\":"
-           << micros(ev.time) << ",\"name\":\"tracker charged\",\"args\":{"
-           << "\"cpu\":" << num(ev.x) << ",\"mem\":" << num(ev.y) << "}}";
-        w.event(os.str());
-        break;
       case trace::EventKind::kRunEnd:
         os << "{\"ph\":\"i\",\"s\":\"g\",\"pid\":" << kSchedulerPid
            << ",\"tid\":0,\"ts\":" << micros(ev.time)

@@ -41,7 +41,8 @@ class Dispatcher {
 
   // Picks a cell from `candidates` (ascending cell indices: the alive,
   // feasible cells — never empty). `loads` and `locality_bytes` are
-  // indexed by cell id and cover every cell.
+  // indexed by cell id and cover every cell; only kLocalityAware reads
+  // `locality_bytes`.
   int pick(const std::vector<int>& candidates,
            const std::vector<sim::EngineLoad>& loads,
            const std::vector<double>& locality_bytes);

@@ -103,6 +103,7 @@ FederatedResult simulate_federated(const FederationConfig& config,
   }
 
   Dispatcher dispatcher(config.policy, config.dispatch_seed);
+  const bool by_locality = config.policy == DispatchPolicy::kLocalityAware;
   std::vector<char> alive(static_cast<std::size_t>(num_cells), 1);
   // cell_jobs[c][local_id] = global id; job_local[g] = final local id.
   std::vector<std::vector<long>> cell_jobs(
@@ -138,8 +139,12 @@ FederatedResult simulate_federated(const FederationConfig& config,
     for (int c = 0; c < num_cells; ++c) {
       if (!alive[static_cast<std::size_t>(c)]) continue;
       loads[static_cast<std::size_t>(c)] = engines[c]->load();
-      bytes[static_cast<std::size_t>(c)] =
-          cell_input_bytes(spec, base.cells[c]);
+      // Only the locality policy reads the bytes; the walk over every
+      // task's input replicas is the costly part of a dispatch.
+      if (by_locality) {
+        bytes[static_cast<std::size_t>(c)] =
+            cell_input_bytes(spec, base.cells[c]);
+      }
     }
     const int c = dispatcher.pick(candidates, loads, bytes);
     engines[c]->submit(remap_job_for_cell(spec, base.cells[c]));

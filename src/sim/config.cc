@@ -110,8 +110,8 @@ std::string validate(const SimConfig& config) {
   // (and std::bernoulli_distribution is undefined above 1).
   if (!(0 <= config.task_failure_prob && config.task_failure_prob < 1))
     return "SimConfig: task_failure_prob must be in [0, 1)";
-  // The ramp-up allowance divides a task's age by the window (as
-  // tracker::ResourceTracker does) and pads by a fraction of its demand.
+  // The ramp-up allowance (Simulator::tracker_available) divides a task's
+  // age by the window and pads by a fraction of its estimated demand.
   if (!(0 < config.ramp_up_window && config.ramp_up_window < kInf))
     return "SimConfig: ramp_up_window must be finite and > 0";
   if (!(0 <= config.ramp_allowance_fraction &&

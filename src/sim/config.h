@@ -213,9 +213,9 @@ struct SimConfig {
   bool naive_scheduler_view = false;
 
   // Structured event tracing (DESIGN.md §10): when trace.enabled, the
-  // simulator records every arrival, pass, placement, task transition,
-  // churn edge and tracker report into SimResult::trace_log. Off by
-  // default — the disabled path is a single branch per hook.
+  // simulator records every arrival, pass, placement, task transition and
+  // churn edge into SimResult::trace_log. Off by default — the disabled
+  // path is a single branch per hook.
   trace::TraceConfig trace;
 
   bool collect_timeline = false;

@@ -16,7 +16,6 @@ const char* kind_name(EventKind kind) {
     case EventKind::kTaskKill: return "task_kill";
     case EventKind::kMachineDown: return "machine_down";
     case EventKind::kMachineUp: return "machine_up";
-    case EventKind::kUsageReport: return "usage_report";
     case EventKind::kPassEnd: return "pass_end";
     case EventKind::kRunEnd: return "run_end";
   }
@@ -78,11 +77,6 @@ std::string describe(const Event& ev) {
     case EventKind::kMachineDown:
     case EventKind::kMachineUp:
       out << " machine=" << ev.a;
-      break;
-    case EventKind::kUsageReport:
-      out << " node=" << ev.a << " live=" << ev.b << " charged_cpu=" << ev.x
-          << " charged_mem=" << ev.y << " avail_cpu=" << ev.z
-          << " avail_mem=" << ev.w;
       break;
     case EventKind::kPassEnd:
       out << " pass=" << ev.a << " placements=" << ev.b

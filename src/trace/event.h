@@ -38,9 +38,7 @@ enum class EventKind : std::uint8_t {
   kMachineDown = 9,
   // a=machine id
   kMachineUp = 10,
-  // Tracker heartbeat report: a=node, b=live task count;
-  // x=charged cpu, y=charged mem, z=available cpu, w=available mem
-  kUsageReport = 11,
+  // 11 is retired (per-node tracker usage report); never reuse it.
   // a=pass index, b=placements this pass; timing=pass wall-clock nanos
   kPassEnd = 12,
   // a=tasks completed, b=jobs completed; x=makespan
@@ -50,9 +48,9 @@ enum class EventKind : std::uint8_t {
 inline constexpr int kNumEventKinds = 14;
 
 // True for the wire numbers of the kinds above: below kNumEventKinds and
-// not the retired 3. Decoders reject every other kind byte.
+// not the retired 3 or 11. Decoders reject every other kind byte.
 inline constexpr bool is_known_kind(int kind) {
-  return kind >= 0 && kind < kNumEventKinds && kind != 3;
+  return kind >= 0 && kind < kNumEventKinds && kind != 3 && kind != 11;
 }
 
 // Why a task attempt was killed (kTaskKill field f).

@@ -1,7 +1,6 @@
 #include "trace/recorder.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "trace/wire.h"
 
@@ -9,91 +8,48 @@ namespace tetris::trace {
 
 namespace {
 
-// Worst-case encoded record: varint seq (10) + kind (1) + mask (2) +
-// time (8) + six zigzag varints (60) + four doubles (32) + timing (10).
-constexpr std::size_t kMaxRecordBytes = 128;
-
-std::uint64_t next_recorder_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
+// Worst-case encoded record: kind (1) + mask (2) + time (8) + six zigzag
+// varints (60) + four doubles (32) + timing (10).
+constexpr std::size_t kMaxRecordBytes = 113;
 
 }  // namespace
 
-Recorder::Recorder(TraceConfig config)
-    : config_(config), id_(next_recorder_id()) {}
-
-Recorder::ThreadBuffer* Recorder::local_buffer() {
-  // Cache keyed on (recorder address, recorder id): the id tiebreaks a new
-  // recorder allocated at a freed recorder's address. Buffers are never
-  // deallocated while the recorder lives (take_log only clears their
-  // contents), so a cached pointer that passes the key check is valid.
-  struct Cache {
-    const Recorder* owner = nullptr;
-    std::uint64_t id = 0;
-    ThreadBuffer* buffer = nullptr;
-  };
-  thread_local Cache cache;
-  if (cache.owner != this || cache.id != id_) {
-    std::lock_guard<std::mutex> lock(mu_);
-    buffers_.push_back(std::make_unique<ThreadBuffer>());
-    cache = Cache{this, id_, buffers_.back().get()};
-  }
-  return cache.buffer;
-}
+Recorder::Recorder(TraceConfig config) : config_(config) {}
 
 void Recorder::record(const Event& event) {
   if (!config_.enabled) return;
-  const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  ThreadBuffer* buf = local_buffer();
-  if (buf->chunks.empty() ||
-      buf->chunks.back().bytes.size() + kMaxRecordBytes >
-          config_.chunk_bytes) {
-    buf->chunks.emplace_back();
-    buf->chunks.back().bytes.reserve(config_.chunk_bytes);
-    while (buf->chunks.size() > std::max<std::size_t>(
-                                    1, config_.max_chunks_per_thread)) {
-      buf->dropped += buf->chunks.front().records;
-      buf->chunks.pop_front();
+  accepted_++;
+  if (chunks_.empty() ||
+      chunks_.back().bytes.size() + kMaxRecordBytes > config_.chunk_bytes) {
+    chunks_.emplace_back();
+    chunks_.back().bytes.reserve(config_.chunk_bytes);
+    while (chunks_.size() > std::max<std::size_t>(1, config_.max_chunks)) {
+      dropped_ += chunks_.front().records;
+      chunks_.pop_front();
     }
   }
-  Chunk& chunk = buf->chunks.back();
-  wire::put_varint(chunk.bytes, seq);
+  Chunk& chunk = chunks_.back();
   wire::encode_event(chunk.bytes, event);
   chunk.records++;
 }
 
 TraceLog Recorder::take_log() {
-  std::lock_guard<std::mutex> lock(mu_);
   TraceLog log;
-  std::vector<std::pair<std::uint64_t, Event>> ordered;
-  for (const auto& buf : buffers_) {
-    log.dropped += buf->dropped;
-    for (const Chunk& chunk : buf->chunks) {
-      wire::Reader reader(chunk.bytes.data(), chunk.bytes.size());
-      while (!reader.done() && reader.ok) {
-        const std::uint64_t seq = reader.get_varint();
-        Event ev;
-        if (!wire::decode_event(reader, &ev)) break;
-        ordered.emplace_back(seq, ev);
-      }
+  log.dropped = dropped_;
+  std::size_t records = 0;
+  for (const Chunk& chunk : chunks_) records += chunk.records;
+  log.events.reserve(records);
+  for (const Chunk& chunk : chunks_) {
+    wire::Reader reader(chunk.bytes.data(), chunk.bytes.size());
+    while (!reader.done() && reader.ok) {
+      Event ev;
+      if (!wire::decode_event(reader, &ev)) break;
+      log.events.push_back(ev);
     }
   }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& lhs, const auto& rhs) {
-              return lhs.first < rhs.first;
-            });
-  log.events.reserve(ordered.size());
-  for (auto& [seq, ev] : ordered) log.events.push_back(ev);
-  // Reset in place: thread-local caches keep pointing at live (now empty)
-  // buffers, so the recorder can record a fresh run without re-registration.
-  for (auto& buf : buffers_) {
-    buf->chunks.clear();
-    buf->dropped = 0;
-  }
-  seq_.store(0, std::memory_order_relaxed);
-  accepted_.store(0, std::memory_order_relaxed);
+  chunks_.clear();
+  accepted_ = 0;
+  dropped_ = 0;
   return log;
 }
 

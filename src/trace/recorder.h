@@ -1,10 +1,7 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "trace/event.h"
@@ -13,24 +10,19 @@ namespace tetris::trace {
 
 struct TraceConfig {
   bool enabled = false;
-  // Ring-buffer geometry, per recording thread. Each thread appends encoded
-  // records into fixed-size chunks; once a thread holds max_chunks_per_thread
-  // full chunks the oldest chunk is dropped whole (cheap, and the tail of the
-  // run — where divergences are diagnosed — is what survives). Defaults hold
-  // ~4 MiB/thread, roughly 250K records.
+  // Ring-buffer geometry. Records are appended into fixed-size chunks;
+  // once max_chunks full chunks are held the oldest chunk is dropped whole
+  // (cheap, and the tail of the run — where divergences are diagnosed — is
+  // what survives). Defaults hold ~4 MiB, roughly 250K records.
   std::size_t chunk_bytes = 64 * 1024;
-  std::size_t max_chunks_per_thread = 64;
+  std::size_t max_chunks = 64;
 };
 
-// Thread-safe binary event log. `record()` is wait-free against other
-// threads on the hot path: the only shared write is a relaxed fetch_add on
-// the global sequence counter; encoded bytes land in a per-thread buffer
-// (registered once per thread under a mutex, then cached thread-locally).
+// Binary event log: one chunked ring, written by the event-loop thread.
 // When `enabled()` is false, `record()` returns immediately.
 //
-// `take_log()` drains every thread's buffers into one stream ordered by the
-// global sequence number. It must not race with `record()` — callers drain
-// only after the traced run has completed.
+// `take_log()` decodes the ring in record order. Callers drain only after
+// the traced run has completed.
 class Recorder {
  public:
   explicit Recorder(TraceConfig config = TraceConfig{});
@@ -44,12 +36,10 @@ class Recorder {
   void record(const Event& event);
 
   // Records accepted so far (including any later dropped by ring overflow).
-  std::uint64_t recorded() const {
-    return accepted_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t recorded() const { return accepted_; }
 
-  // Drains all buffers: decodes, merges across threads by sequence number,
-  // and resets the recorder so a subsequent run records from empty.
+  // Drains the ring: decodes it in record order and resets the recorder
+  // so a subsequent run records from empty.
   TraceLog take_log();
 
  private:
@@ -57,20 +47,11 @@ class Recorder {
     std::vector<std::uint8_t> bytes;
     std::size_t records = 0;
   };
-  struct ThreadBuffer {
-    std::deque<Chunk> chunks;
-    std::uint64_t dropped = 0;
-  };
-
-  ThreadBuffer* local_buffer();
 
   const TraceConfig config_;
-  const std::uint64_t id_;  // distinguishes recorders for thread-local caching
-  std::atomic<std::uint64_t> seq_{0};
-  std::atomic<std::uint64_t> accepted_{0};
-  std::mutex mu_;  // guards buffers_ registration and take_log()
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  std::deque<Chunk> chunks_;
+  std::uint64_t accepted_ = 0;
+  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace tetris::trace
-

@@ -9,7 +9,6 @@ namespace tetris::trace {
 bool is_decision_event(EventKind kind) {
   switch (kind) {
     case EventKind::kGroupScan:
-    case EventKind::kUsageReport:
       return false;
     case EventKind::kRunBegin:
       // Run *metadata*, not a decision: its naive-mode field differs

@@ -17,11 +17,10 @@ namespace tetris::trace {
 //
 // kDecisions first filters both streams down to schedule-derived events —
 // arrivals, pass begin/end, placements, task start/finish/kill, machine
-// down/up, run end — dropping kGroupScan, kUsageReport, and kRunBegin
-// (whose naive-mode metadata differs between configurations by
-// construction). This is the cross-configuration contract: the naive
-// oracle and the optimized scan must agree on every decision even though
-// their instrumentation differs.
+// down/up, run end — dropping kGroupScan and kRunBegin (whose naive-mode
+// metadata differs between configurations by construction). This is the
+// cross-configuration contract: the naive oracle and the optimized scan
+// must agree on every decision even though their instrumentation differs.
 enum class CompareMode { kFull, kDecisions };
 
 bool is_decision_event(EventKind kind);

@@ -40,7 +40,7 @@ sim::SimConfig make_base() {
                          (c + 1) * (kMachines / kCells)});
   }
   cfg.trace.enabled = true;
-  cfg.trace.max_chunks_per_thread = 1024;
+  cfg.trace.max_chunks = 1024;
   return cfg;
 }
 

@@ -30,7 +30,7 @@ FederationConfig make_config(int machines, int cells, int dead,
     fc.base.cells.push_back({c * size, (c + 1) * size});
   }
   fc.base.trace.enabled = true;
-  fc.base.trace.max_chunks_per_thread = 1024;
+  fc.base.trace.max_chunks = 1024;
   fc.policy = policy;
   fc.dispatch_seed = 5;
   fc.kills = {{dead, 150.0}};

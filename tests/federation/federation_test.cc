@@ -205,7 +205,7 @@ TEST(FederatedSimulatorTest, OneCellIsBitIdenticalToGlobalScheduler) {
   sim::SimConfig global_cfg = small_cluster(kMachines);
   global_cfg.collect_timeline = true;
   global_cfg.trace.enabled = true;
-  global_cfg.trace.max_chunks_per_thread = 1024;
+  global_cfg.trace.max_chunks = 1024;
 
   core::TetrisScheduler global_sched((core::TetrisConfig()));
   const sim::SimResult global = sim::simulate(global_cfg, w, global_sched);

@@ -180,7 +180,7 @@ TEST_P(EquivalenceTest, AllPathsAndThreadCountsAreBitIdentical) {
     // Record the event stream too: decision events must agree across the
     // whole matrix (DESIGN.md §10's cross-configuration contract).
     cfg.trace.enabled = true;
-    cfg.trace.max_chunks_per_thread = 1024;
+    cfg.trace.max_chunks = 1024;
     core::TetrisConfig tcfg = c.tetris;
     tcfg.naive_scoring = naive;
     core::TetrisScheduler sched(tcfg);

@@ -300,7 +300,7 @@ TEST_P(ConstraintPropertyTest, EveryPlacementSatisfiesItsConstraints) {
   cfg.machine_labels = workload::make_class_labels(10);
   cfg.machines_per_rack = 5;
   cfg.trace.enabled = true;
-  cfg.trace.max_chunks_per_thread = 1024;
+  cfg.trace.max_chunks = 1024;
   if (c.churn) {
     cfg.churn.scripted = {{2, 20.0, 80.0}, {7, 50.0, 140.0},
                           {2, 200.0, 260.0}};

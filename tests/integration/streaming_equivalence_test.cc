@@ -94,7 +94,7 @@ Scenario make_scenario(const Case& c) {
   }
   // Decision-stream equality is part of the contract.
   s.config.trace.enabled = true;
-  s.config.trace.max_chunks_per_thread = 1024;
+  s.config.trace.max_chunks = 1024;
   return s;
 }
 

@@ -76,7 +76,7 @@ FuzzSpec make_fuzz_spec(std::uint64_t seed) {
   spec.cfg.heartbeat_period = 0.5;
   spec.cfg.max_time = 50000;
   spec.cfg.trace.enabled = true;
-  spec.cfg.trace.max_chunks_per_thread = 1024;
+  spec.cfg.trace.max_chunks = 1024;
   if (rng.bernoulli(0.4)) spec.cfg.machines_per_rack = 2;
 
   // Random label sets; a machine with no class rolls "plain". Track what

@@ -1,10 +1,12 @@
 // Integration tests of the discrete-event simulator: task lifecycle,
 // placement-dependent durations, contention and interference, barriers,
-// heartbeat batching and failure injection.
+// heartbeat batching, failure injection and the usage tracker's ramp-up
+// allowance.
 #include "sim/simulator.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "federation/federated_simulator.h"
@@ -606,6 +608,208 @@ TEST(Simulator, BackgroundActivityContendsProportionally) {
   // (100*0.94)/200 = 0.47 until done: 1 + 0.8*5/0.47 ~ 9.5s.
   EXPECT_GT(r.tasks[0].duration(), 8.0);
   EXPECT_LT(r.tasks[0].duration(), 11.0);
+}
+
+// The usage tracker's ramp-up allowance (§4.1, TrackerMode::kUsage): on
+// top of observed usage, every attempt hosted on a machine and younger
+// than ramp_up_window is charged ramp_allowance_fraction x (1 - age /
+// window) x its booked local estimate.
+
+// Places every runnable task on machine 0 and, at the start of every
+// pass, records what the tracker reports for machine 0 with the attempts
+// running there. Preempts every running attempt in its pass at
+// `preempt_at` and places nothing in that pass.
+class RampProbeScheduler final : public Scheduler {
+ public:
+  struct Sample {
+    SimTime now = 0;
+    Resources available;
+    std::vector<RunningTaskView> running;
+  };
+
+  std::string name() const override { return "ramp-probe"; }
+  void schedule(SchedulerContext& ctx) override {
+    samples.push_back({ctx.now(), ctx.available(0), ctx.running_tasks()});
+    if (ctx.now() == preempt_at) {
+      for (const RunningTaskView& t : ctx.running_tasks()) ctx.preempt(t.uid);
+      return;
+    }
+    for (auto& g : ctx.runnable_groups()) {
+      while (g.runnable > 0) {
+        Probe p = ctx.probe(g.ref, 0);
+        if (!p.valid || !ctx.place(p)) break;
+        g.runnable--;
+      }
+    }
+  }
+
+  SimTime preempt_at = -1;
+  std::vector<Sample> samples;
+};
+
+SimConfig usage_tracker_cluster() {
+  SimConfig cfg = small_cluster(1);
+  cfg.heartbeat_period = 1.0;  // integer pass times, so integer ages
+  cfg.tracker = TrackerMode::kUsage;
+  cfg.ramp_up_window = 10.0;
+  cfg.ramp_allowance_fraction = 0.5;
+  return cfg;
+}
+
+Workload one_job(std::vector<TaskSpec> tasks, SimTime arrival = 0) {
+  StageSpec stage;
+  stage.tasks = std::move(tasks);
+  JobSpec job;
+  job.arrival = arrival;
+  job.stages.push_back(stage);
+  Workload w;
+  w.jobs.push_back(job);
+  return w;
+}
+
+// The ramp formula applied to `sample` in the simulator's order of
+// operations. Estimates are oracle, so usage is the sum of the booked
+// demands of the running attempts.
+Resources ramped_available(const SimConfig& cfg,
+                           const RampProbeScheduler::Sample& sample) {
+  Resources used;
+  for (const RunningTaskView& t : sample.running) used += t.demand;
+  for (const RunningTaskView& t : sample.running) {
+    const double age = sample.now - t.started;
+    if (age >= cfg.ramp_up_window) continue;
+    used += t.demand * (cfg.ramp_allowance_fraction *
+                        (1.0 - age / cfg.ramp_up_window));
+  }
+  return (cfg.machine_capacity - used).max_zero();
+}
+
+const RampProbeScheduler::Sample& sample_at(const RampProbeScheduler& s,
+                                            SimTime now) {
+  for (const auto& sample : s.samples) {
+    if (sample.now == now && !sample.running.empty()) return sample;
+  }
+  ADD_FAILURE() << "no pass with a running attempt at t=" << now;
+  static const RampProbeScheduler::Sample kNone;
+  return kNone;
+}
+
+TEST(Simulator, RampAllowancePadsUsageLinearlyOverTheWindow) {
+  const SimConfig cfg = usage_tracker_cluster();
+  RampProbeScheduler sched;
+  const SimResult r = simulate(cfg, one_job({cpu_task(2, 1, 30)}), sched);
+  ASSERT_TRUE(r.completed);
+
+  // Hand-checked points: 2 cores used plus 0.5 x (1 - age/10) x 2 cores.
+  EXPECT_EQ(sample_at(sched, 0).available[Resource::kCpu], 1.0);
+  EXPECT_EQ(sample_at(sched, 5).available[Resource::kCpu], 1.5);
+  EXPECT_EQ(sample_at(sched, 10).available[Resource::kCpu], 2.0);
+  EXPECT_EQ(sample_at(sched, 0).available[Resource::kMem], 6.5 * kGB);
+
+  int inside = 0;
+  for (const auto& sample : sched.samples) {
+    if (sample.running.empty()) continue;
+    ASSERT_EQ(sample.running.size(), 1u);
+    ASSERT_EQ(sample.running[0].demand[Resource::kCpu], 2.0);
+    ASSERT_EQ(sample.now, std::floor(sample.now)) << "integer ages only";
+    const double age = sample.now - sample.running[0].started;
+    if (age < cfg.ramp_up_window) inside++;
+    EXPECT_EQ(sample.available, ramped_available(cfg, sample))
+        << "age " << age;
+  }
+  EXPECT_EQ(inside, 10);  // ages 0..9
+}
+
+TEST(Simulator, RampAllowanceEndsAtExactlyTheWindowBoundary) {
+  // The cutoff is `age >= window`: a task aged exactly 10 s is charged its
+  // usage alone, not a small residual, while one a double-ulp younger is
+  // still charged a strictly positive allowance. A job arriving at 2^-49
+  // starts there, so the t=10 heartbeat sees it at age nextafter(10, 0).
+  // Three cores keep that one-ulp allowance visible in 4 - (3 + allowance).
+  const SimConfig cfg = usage_tracker_cluster();
+  const double usage_only = 4.0 - 3.0;
+
+  RampProbeScheduler at_window;
+  ASSERT_TRUE(
+      simulate(cfg, one_job({cpu_task(3, 1, 30)}), at_window).completed);
+  EXPECT_EQ(sample_at(at_window, 10).available[Resource::kCpu], usage_only);
+  EXPECT_EQ(sample_at(at_window, 11).available[Resource::kCpu], usage_only);
+
+  RampProbeScheduler inside;
+  const SimTime arrival = std::ldexp(1.0, -49);
+  ASSERT_TRUE(
+      simulate(cfg, one_job({cpu_task(3, 1, 30)}, arrival), inside)
+          .completed);
+  const auto& last_inside = sample_at(inside, 10);
+  ASSERT_EQ(last_inside.running.size(), 1u);
+  EXPECT_EQ(last_inside.now - last_inside.running[0].started,
+            std::nextafter(10.0, 0.0));
+  EXPECT_LT(last_inside.available[Resource::kCpu], usage_only);
+  EXPECT_EQ(last_inside.available, ramped_available(cfg, last_inside));
+  EXPECT_EQ(sample_at(inside, 11).available[Resource::kCpu], usage_only);
+}
+
+TEST(Simulator, RampAllowancesStackAcrossTasksOnOneHost) {
+  const SimConfig cfg = usage_tracker_cluster();
+  RampProbeScheduler sched;
+  const SimResult r = simulate(
+      cfg, one_job({cpu_task(1, 1, 30), cpu_task(1, 1, 30)}), sched);
+  ASSERT_TRUE(r.completed);
+
+  // 2 cores used plus two allowances of 0.5 x (1 - age/10) x 1 core.
+  EXPECT_EQ(sample_at(sched, 0).available[Resource::kCpu], 1.0);
+  EXPECT_EQ(sample_at(sched, 5).available[Resource::kCpu], 1.5);
+  for (const auto& sample : sched.samples) {
+    if (sample.running.empty()) continue;
+    ASSERT_EQ(sample.running.size(), 2u);
+    EXPECT_EQ(sample.available, ramped_available(cfg, sample))
+        << "t=" << sample.now;
+  }
+}
+
+TEST(Simulator, RampAllowanceEndsWithTheTask) {
+  // A 3 s task: from its finish on, the machine reports its full capacity
+  // although the attempt would still be inside its window. A second job
+  // arriving at t=8 keeps the run going past that finish.
+  const SimConfig cfg = usage_tracker_cluster();
+  Workload w = one_job({cpu_task(2, 1, 3)});
+  w.jobs.push_back(one_job({cpu_task(1, 1, 1)}, 8.0).jobs[0]);
+  RampProbeScheduler sched;
+  const SimResult r = simulate(cfg, w, sched);
+  ASSERT_TRUE(r.completed);
+  ASSERT_EQ(r.tasks.size(), 2u);
+  ASSERT_EQ(r.tasks[0].job, 0);
+  const SimTime finish = r.tasks[0].finish;
+  ASSERT_LT(finish, 4.0);
+
+  int after_finish = 0;
+  for (const auto& sample : sched.samples) {
+    if (sample.now < finish || sample.now >= 8.0) continue;
+    EXPECT_TRUE(sample.running.empty()) << "t=" << sample.now;
+    EXPECT_EQ(sample.available, cfg.machine_capacity) << "t=" << sample.now;
+    after_finish++;
+  }
+  EXPECT_GE(after_finish, 4);  // the heartbeats at t=4..7 at least
+}
+
+TEST(Simulator, ReExecutedAttemptRestartsItsRampClock) {
+  // Preempted at t=20, long after its first window closed; the new attempt
+  // starts at the t=21 heartbeat and is charged a fresh allowance.
+  const SimConfig cfg = usage_tracker_cluster();
+  RampProbeScheduler sched;
+  sched.preempt_at = 20;
+  const SimResult r = simulate(cfg, one_job({cpu_task(2, 1, 30)}), sched);
+  ASSERT_TRUE(r.completed);
+  ASSERT_EQ(r.tasks.size(), 1u);
+  EXPECT_EQ(r.tasks[0].attempts, 2);
+  EXPECT_EQ(r.tasks[0].start, 21.0);
+
+  EXPECT_EQ(sample_at(sched, 20).available[Resource::kCpu], 2.0);
+  const auto& restarted = sample_at(sched, 22);  // age 1 in the new attempt
+  ASSERT_EQ(restarted.running.size(), 1u);
+  EXPECT_EQ(restarted.running[0].started, 21.0);
+  EXPECT_EQ(restarted.available[Resource::kCpu],
+            4.0 - (2.0 + 2.0 * (0.5 * (1.0 - 1.0 / 10.0))));
+  EXPECT_EQ(restarted.available, ramped_available(cfg, restarted));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Unit tests for the trace subsystem's storage layers (DESIGN.md §10):
-// wire encoding round trips bit-exactly, the recorder's per-thread ring
-// buffers merge into one globally-ordered stream, the file format rejects
-// corruption cleanly, and the comparison helpers implement the replay
-// contract (semantic fields with ==, wall-clock `timing` ignored).
+// wire encoding round trips bit-exactly, the recorder's chunked ring
+// drains in record order and drops its oldest chunk on overflow, the file
+// format rejects corruption cleanly, and the comparison helpers implement
+// the replay contract (semantic fields with ==, wall-clock `timing`
+// ignored).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +12,6 @@
 #include <fstream>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "trace/event.h"
@@ -93,10 +93,10 @@ TEST(Wire, ElidesZeroFields) {
 TEST(Wire, RejectsUnknownKindAndBadMask) {
   std::vector<std::uint8_t> buf;
   wire::encode_event(buf, full_event());
-  // One past the last kind, and the retired kind 3 (per-shard scan
-  // timing), whose number is never reused.
-  for (const std::uint8_t kind :
-       {std::uint8_t{kNumEventKinds}, std::uint8_t{3}}) {
+  // One past the last kind, and the retired kinds 3 (per-shard scan
+  // timing) and 11 (tracker usage report), whose numbers are never reused.
+  for (const std::uint8_t kind : {std::uint8_t{kNumEventKinds},
+                                  std::uint8_t{3}, std::uint8_t{11}}) {
     std::vector<std::uint8_t> bad = buf;
     bad[0] = kind;
     wire::Reader r(bad.data(), bad.size());
@@ -165,8 +165,8 @@ TEST(Recorder, TakeLogResetsForTheNextRun) {
   rec.record(ev);
   EXPECT_EQ(rec.take_log().events.size(), 1u);
 
-  // Recording again from the same thread reuses the cached buffer; the
-  // drained events must not reappear.
+  // Recording again after a drain starts from an empty ring; the drained
+  // events must not reappear.
   ev.a = 2;
   rec.record(ev);
   const TraceLog second = rec.take_log();
@@ -178,7 +178,7 @@ TEST(Recorder, TakeLogResetsForTheNextRun) {
 TEST(Recorder, RingOverflowDropsOldestKeepsTail) {
   TraceConfig cfg = enabled_config();
   cfg.chunk_bytes = 256;
-  cfg.max_chunks_per_thread = 2;
+  cfg.max_chunks = 2;
   Recorder rec(cfg);
   const int kTotal = 2000;
   for (int i = 0; i < kTotal; ++i) {
@@ -196,40 +196,6 @@ TEST(Recorder, RingOverflowDropsOldestKeepsTail) {
   EXPECT_EQ(log.events.back().a, kTotal - 1);
   for (std::size_t i = 1; i < log.events.size(); ++i) {
     EXPECT_EQ(log.events[i].a, log.events[i - 1].a + 1);
-  }
-}
-
-TEST(Recorder, MergesThreadStreamsByGlobalSequence) {
-  TraceConfig cfg = enabled_config();
-  cfg.max_chunks_per_thread = 1024;
-  Recorder rec(cfg);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 500;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&rec, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        Event ev;
-        ev.kind = EventKind::kGroupScan;
-        ev.a = t;
-        ev.b = i;
-        rec.record(ev);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  const TraceLog log = rec.take_log();
-  EXPECT_EQ(log.dropped, 0u);
-  ASSERT_EQ(log.events.size(),
-            static_cast<std::size_t>(kThreads * kPerThread));
-  // The global interleaving is nondeterministic, but each thread's records
-  // must appear in its own program order.
-  std::vector<std::int64_t> next(kThreads, 0);
-  for (const Event& ev : log.events) {
-    ASSERT_GE(ev.a, 0);
-    ASSERT_LT(ev.a, kThreads);
-    EXPECT_EQ(ev.b, next[static_cast<std::size_t>(ev.a)]++);
   }
 }
 
@@ -336,13 +302,11 @@ TEST(Compare, DecisionModeIgnoresInstrumentationEvents) {
   Event scan;
   scan.kind = EventKind::kGroupScan;
   scan.a = 1;
-  Event usage;
-  usage.kind = EventKind::kUsageReport;
-  usage.a = 2;
-  b.events.insert(b.events.begin() + 1, {scan, usage});
+  Event rescan = scan;
+  rescan.a = 2;
+  b.events.insert(b.events.begin() + 1, {scan, rescan});
 
   EXPECT_FALSE(is_decision_event(EventKind::kGroupScan));
-  EXPECT_FALSE(is_decision_event(EventKind::kUsageReport));
   // Run metadata (the naive flag) differs across configurations whose
   // decisions must still match.
   EXPECT_FALSE(is_decision_event(EventKind::kRunBegin));

@@ -35,7 +35,7 @@ sim::SimResult run_motivating(std::uint64_t seed) {
   auto ex = workload::make_motivating_example();
   ex.config.seed = seed;
   ex.config.trace.enabled = true;
-  ex.config.trace.max_chunks_per_thread = 1024;
+  ex.config.trace.max_chunks = 1024;
   core::TetrisScheduler tetris;
   return sim::simulate(ex.config, ex.workload, tetris);
 }
@@ -47,7 +47,7 @@ sim::SimConfig facebook_config(std::uint64_t seed, bool traced = true) {
   cfg.tracker = sim::TrackerMode::kUsage;
   cfg.seed = seed;
   cfg.trace.enabled = traced;
-  cfg.trace.max_chunks_per_thread = 1024;
+  cfg.trace.max_chunks = 1024;
   return cfg;
 }
 

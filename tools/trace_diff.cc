@@ -3,9 +3,9 @@
 //   trace_diff [--decisions] <a.trace> <b.trace>
 //
 // With --decisions the streams are first filtered to schedule-derived
-// events (the cross-configuration contract: shard timings, group scans
-// and tracker reports are instrumentation detail and may legitimately
-// differ between e.g. serial and sharded runs). Without it every event
+// events (the cross-configuration contract: group scans and the run
+// header are instrumentation detail and may legitimately differ between
+// e.g. the naive oracle and the optimized scan). Without it every event
 // must match (the replay contract).
 //
 // Exit status: 0 identical, 1 divergent, 2 usage or I/O error.
