@@ -26,7 +26,6 @@
 
 #include "analysis/export.h"
 #include "bench/harness.h"
-#include "core/demand_estimator.h"
 
 using namespace tetris;
 
@@ -59,20 +58,6 @@ void BM_PlacementComputation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlacementComputation);
-
-void BM_DemandEstimatorObserve(benchmark::State& state) {
-  core::DemandEstimator est;
-  sim::TaskReport report;
-  report.job = 3;
-  report.stage = 1;
-  report.template_id = 5;
-  report.peak_usage = Resources::of(2, 4 * kGB, 50 * kMB, 10 * kMB);
-  report.duration = 12;
-  for (auto _ : state) {
-    est.observe(report);
-  }
-}
-BENCHMARK(BM_DemandEstimatorObserve);
 
 // Mean pass latency restricted to the heavy passes (backlog at least
 // `cut`): the regime Table 8 talks about. Returns {mean_ms, passes}.

@@ -12,6 +12,7 @@
 
 #include "core/score_kernel.h"
 #include "sched/common.h"
+#include "sched/fairness.h"
 #include "trace/event.h"
 #include "trace/recorder.h"
 #include "util/soa_planes.h"
@@ -20,6 +21,9 @@ namespace tetris::core {
 
 namespace {
 
+// The job order behind the fairness knob (§3.4): dominant resource share.
+constexpr sched::FairnessPolicy kFairness = sched::FairnessPolicy::kDrf;
+
 // Full admission (§3.2) of a probed cell against live availability:
 // every local dimension, plus disk-read / net-out at each remote source.
 bool admits(const TetrisConfig& config, const sim::SchedulerContext& ctx,
@@ -27,7 +31,7 @@ bool admits(const TetrisConfig& config, const sim::SchedulerContext& ctx,
   const Resources avail = ctx.available(p.machine);
   if (config.only_cpu_mem) return sched::fits_cpu_mem(p.demand, avail);
   return sched::fits_all_local(p.demand, avail) &&
-         (!config.check_remote || sched::remote_legs_fit(ctx, p));
+         sched::remote_legs_fit(ctx, p);
 }
 
 // Per machine, the (alignment, eta) claims of stages about to unblock.
@@ -58,8 +62,6 @@ TetrisScheduler::TetrisScheduler(TetrisConfig config)
     throw std::invalid_argument("remote_penalty must be in [0, 1]");
   if (!(0 <= config_.srtf_weight && config_.srtf_weight < kInf))
     throw std::invalid_argument("srtf_weight must be finite and >= 0");
-  if (!(0 < config_.slot_mem && config_.slot_mem < kInf))
-    throw std::invalid_argument("slot_mem must be finite and > 0");
   // +inf is the documented "off".
   if (!(0 < config_.starvation_threshold))
     throw std::invalid_argument("starvation_threshold must be > 0");
@@ -180,11 +182,6 @@ struct TetrisScheduler::Pass {
 };
 
 void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
-  // Keep the report stream drained (a real deployment feeds the demand
-  // estimator from it; the simulation's estimation model already reflects
-  // that behaviour, see sim/config.h).
-  (void)ctx.take_reports();
-
   Pass p(ctx, config_.naive_scoring);
   struct CounterFlush {
     sim::SchedulerContext& ctx;
@@ -333,8 +330,7 @@ std::unordered_set<sim::JobId> TetrisScheduler::eligible_set(
       if (schedulable_queues.contains(j.queue)) counted.push_back(j);
     }
     const auto order = sched::furthest_queues_order(
-        config_.fairness_policy, counted, p.ctx.cluster_capacity(),
-        config_.slot_mem);
+        kFairness, counted, p.ctx.cluster_capacity(), /*slot_mem=*/0);
     const auto cut = static_cast<std::size_t>(std::max(
         1.0, std::ceil((1.0 - config_.fairness_knob) *
                        static_cast<double>(order.size()))));
@@ -347,8 +343,7 @@ std::unordered_set<sim::JobId> TetrisScheduler::eligible_set(
     return out;
   }
   const auto order = sched::furthest_from_share_order(
-      config_.fairness_policy, schedulable, p.ctx.cluster_capacity(),
-      config_.slot_mem);
+      kFairness, schedulable, p.ctx.cluster_capacity(), /*slot_mem=*/0);
   const auto cut = static_cast<std::size_t>(std::max(
       1.0, std::ceil((1.0 - config_.fairness_knob) *
                      static_cast<double>(schedulable.size()))));
@@ -399,8 +394,8 @@ void TetrisScheduler::refresh_eligibility(Pass& p) const {
       share_scratch.current_alloc = p.jobs[i].current_alloc;
       share_scratch.current_alloc += p.extra[i];
       p.share_val[i] =
-          sched::job_share(config_.fairness_policy, share_scratch,
-                           p.ctx.cluster_capacity(), config_.slot_mem);
+          sched::job_share(kFairness, share_scratch,
+                           p.ctx.cluster_capacity(), /*slot_mem=*/0);
       p.share_fresh[i] = 1;
     }
     p.elig_keys.push_back({p.share_val[i], p.jobs[i].arrival, p.jobs[i].id,
@@ -933,8 +928,8 @@ void TetrisScheduler::preempt(Pass& p) {
   const auto adjusted_share = [&](std::size_t i) {
     sim::JobView adjusted = p.jobs[i];
     adjusted.current_alloc += p.extra[i];
-    return sched::job_share(config_.fairness_policy, adjusted,
-                            p.ctx.cluster_capacity(), config_.slot_mem);
+    return sched::job_share(kFairness, adjusted,
+                            p.ctx.cluster_capacity(), /*slot_mem=*/0);
   };
   const sim::JobView* starving = nullptr;
   double min_share = 0;

@@ -30,10 +30,8 @@
 #include <vector>
 
 #include "core/alignment.h"
-#include "sched/fairness.h"
 #include "sim/scheduler.h"
 #include "util/perf_counters.h"
-#include "util/units.h"
 
 namespace tetris::core {
 
@@ -50,8 +48,6 @@ struct TetrisConfig {
 
   // Fairness knob f in [0, 1). 0 = most efficient, -> 1 = most fair.
   double fairness_knob = 0.25;
-  sched::FairnessPolicy fairness_policy = sched::FairnessPolicy::kDrf;
-  double slot_mem = 2 * kGB;  // for the kSlots fairness policy
   // Apply the knob at queue granularity (paper §3.4: "jobs (or groups of
   // jobs)"): the first ceil((1-f)·Q) queues furthest below their share are
   // eligible, and any job inside them may be served.
@@ -92,9 +88,6 @@ struct TetrisConfig {
   // backfilling with long poorly-aligned work. 0 disables (the paper's
   // deployed behaviour).
   double future_lookahead = 0;
-
-  // Check disk-read/net-out availability at remote input sources (§3.2).
-  bool check_remote = true;
 
   // Ablation switch (§5.3.1): consider only CPU and memory, like the
   // baselines — reintroduces disk/network over-allocation.

@@ -1,35 +1,8 @@
 #include "federation/cell.h"
 
 #include <algorithm>
-#include <string>
-#include <vector>
 
 namespace tetris::federation {
-
-namespace {
-
-// Mirror of the simulator's label admission (simulator.cc labels_admit):
-// the machine must carry every required label and none of the forbidden
-// ones; an unlabeled cluster fails every require clause.
-bool labels_admit(const sim::SimConfig& base, const sim::PlacementConstraint& c,
-                  sim::MachineId global_m) {
-  static const std::vector<std::string> kNoLabels;
-  const auto& labels =
-      base.machine_labels.empty()
-          ? kNoLabels
-          : base.machine_labels[static_cast<std::size_t>(global_m)];
-  for (const auto& need : c.require_labels) {
-    if (std::find(labels.begin(), labels.end(), need) == labels.end())
-      return false;
-  }
-  for (const auto& ban : c.forbid_labels) {
-    if (std::find(labels.begin(), labels.end(), ban) != labels.end())
-      return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 sim::SimConfig make_cell_config(const sim::SimConfig& base,
                                 const sim::CellSpec& span, int cell_index) {
@@ -86,7 +59,7 @@ bool cell_feasible(const sim::JobSpec& job, const sim::SimConfig& base,
     if (c.require_labels.empty() && c.forbid_labels.empty()) continue;
     bool admissible = false;
     for (sim::MachineId m = span.begin; m < span.end && !admissible; ++m) {
-      admissible = labels_admit(base, c, m);
+      admissible = sim::labels_admit(base, c, m);
     }
     if (!admissible) return false;
   }

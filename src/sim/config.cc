@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <vector>
 
 namespace tetris::sim {
 
@@ -120,7 +121,7 @@ std::string validate(const SimConfig& config) {
   const EstimationConfig& est = config.estimation;
   if (!(0 <= est.noise_cov && est.noise_cov < kInf))
     return "EstimationConfig: noise_cov must be finite and >= 0";
-  // Below 1 under-estimates, the unsafe direction (as core::DemandEstimator).
+  // Below 1 under-estimates, the unsafe direction.
   if (!(1 <= est.overestimate_factor && est.overestimate_factor < kInf))
     return "EstimationConfig: overestimate_factor must be finite and >= 1";
   if (est.profile_after < 0)
@@ -181,6 +182,23 @@ std::string validate_cells(const SimConfig& config) {
            ") of the " + std::to_string(n) + "-machine cluster";
   }
   return {};
+}
+
+bool labels_admit(const SimConfig& config, const PlacementConstraint& c,
+                  MachineId m) {
+  static const std::vector<std::string> kNoLabels;
+  const auto& labels = config.machine_labels.empty()
+                           ? kNoLabels
+                           : config.machine_labels[static_cast<std::size_t>(m)];
+  for (const auto& need : c.require_labels) {
+    if (std::find(labels.begin(), labels.end(), need) == labels.end())
+      return false;
+  }
+  for (const auto& ban : c.forbid_labels) {
+    if (std::find(labels.begin(), labels.end(), ban) != labels.end())
+      return false;
+  }
+  return true;
 }
 
 }  // namespace tetris::sim

@@ -94,7 +94,8 @@ struct ChurnConfig {
 // from the resident working set, folding them into SimResult records on
 // the fly. Memory then tracks the in-flight window, not the trace length.
 struct StreamConfig {
-  // Selects the streaming path in simulate(); simulate_stream() implies it.
+  // Selects the streaming path in simulate(), its only reader;
+  // simulate_stream() and SimEngine always stream.
   bool enabled = false;
   // Admission horizon in virtual seconds: a job may enter the resident set
   // once its arrival is within `lookahead` of current simulation time.
@@ -239,5 +240,11 @@ struct SimConfig {
                                   machine_capacity);
   }
 };
+
+// Label admission (DESIGN.md §13): machine m of `config` carries every
+// label `c` requires and none it forbids. An unlabeled cluster fails every
+// require clause; a constraint without label clauses admits every machine.
+bool labels_admit(const SimConfig& config, const PlacementConstraint& c,
+                  MachineId m);
 
 }  // namespace tetris::sim

@@ -104,9 +104,4 @@ Resources Machine::usage() const {
   return (total_task_demand_ + external_usage_).cwise_min(capacity_);
 }
 
-Resources Machine::available_by_allocation() const {
-  if (!up_) return Resources{};
-  return (capacity_ - total_task_demand_ - external_usage_).max_zero();
-}
-
 }  // namespace tetris::sim

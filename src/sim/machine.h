@@ -1,6 +1,6 @@
 // Runtime state of one machine: which tasks demand what here, how the
-// contended resources are shared, and the two availability views (by
-// allocation vs by observed usage) that the resource tracker reports.
+// contended resources are shared, and the usage the resource tracker
+// observes.
 #pragma once
 
 #include <array>
@@ -61,14 +61,10 @@ class Machine {
   // counters would observe.
   Resources usage() const;
 
-  // Availability by allocation: capacity - sum of task demands - external
-  // usage, floored at zero. The bookkeeping view a scheduler holds.
-  Resources available_by_allocation() const;
-
   int num_tasks() const { return static_cast<int>(task_demands_.size()); }
 
   // Task uid -> demand rates registered here (hosted tasks and remote legs
-  // alike). Exposed for the simulator's rate-refresh and tracker logic.
+  // alike). Read only by the simulator's books (sim/books.cc).
   const std::unordered_map<int, Resources>& demands() const {
     return task_demands_;
   }

@@ -108,8 +108,9 @@ struct RunningTaskView {
   Resources demand;
 };
 
-// Usage report for a finished task; Tetris's demand estimator (§4.1)
-// consumes these to profile recurring jobs and running phases.
+// Usage report for a finished task, the input a demand estimator would
+// learn recurring jobs and running phases from (§4.1). The simulator
+// models that learning with EstimationMode instead and reports none.
 struct TaskReport {
   JobId job = -1;
   int stage = -1;
@@ -216,8 +217,9 @@ class SchedulerContext {
   virtual std::vector<RunningTaskView> running_tasks() const = 0;
   virtual bool preempt(int task_uid) = 0;
 
-  // Drains completion reports accumulated since the last call.
-  virtual std::vector<TaskReport> take_reports() = 0;
+  // Drains completion reports accumulated since the last call; none by
+  // default.
+  virtual std::vector<TaskReport> take_reports() { return {}; }
 
   // Hot-path instrumentation sink (DESIGN.md §8): schedulers add their
   // per-pass counters here so they surface in SimResult::perf. May be

@@ -33,7 +33,7 @@ SimResult simulate(const SimConfig& config, const Workload& workload,
 // completed jobs from memory as it goes. With no resident ceilings (or
 // ceilings never hit — PerfCounters::stream_deferrals == 0) the result is
 // bit-identical to simulate() on the equivalent in-memory workload.
-// config.stream.enabled is implied.
+// config.stream.enabled is not read: this is always the streaming path.
 SimResult simulate_stream(const SimConfig& config, JobSource& source,
                           Scheduler& scheduler);
 

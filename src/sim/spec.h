@@ -94,8 +94,9 @@ struct StageSpec {
 };
 
 // A job: a DAG of stages plus an arrival time. `template_id` identifies
-// recurring jobs (same computation on new data); the demand estimator uses
-// it to look up statistics from prior runs (§4.1). `queue` groups jobs for
+// recurring jobs (same computation on new data); the kLearnedProfile
+// estimation model treats a template with a finished run as profiled
+// (§4.1). `queue` groups jobs for
 // queue-level fairness (paper §3.4 applies its policies to "jobs (or
 // groups of jobs)", as YARN's Capacity scheduler does with queues).
 struct JobSpec {

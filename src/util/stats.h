@@ -71,8 +71,7 @@ class Histogram2D {
   std::size_t total_ = 0;
 };
 
-// Online mean/variance accumulator (Welford). Used by the demand estimator
-// to build per-phase statistics from completed tasks.
+// Online mean/variance accumulator (Welford).
 class RunningStats {
  public:
   void add(double x);

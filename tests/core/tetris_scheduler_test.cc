@@ -106,7 +106,6 @@ TEST(TetrisConfig, RejectsNaNInfiniteAndNegativeKnobs) {
       {"remote_penalty", &TetrisConfig::remote_penalty, false},
       {"srtf_weight", &TetrisConfig::srtf_weight, false},
       {"fairness_knob", &TetrisConfig::fairness_knob, false},
-      {"slot_mem", &TetrisConfig::slot_mem, false},
       {"barrier_knob", &TetrisConfig::barrier_knob, false},
       {"preemption_deficit", &TetrisConfig::preemption_deficit, false},
       {"starvation_threshold", &TetrisConfig::starvation_threshold, true},

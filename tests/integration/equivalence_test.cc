@@ -43,6 +43,10 @@ struct Case {
   core::TetrisConfig tetris;
   // Job arrivals are uniform in [0, arrival_window] for every load.
   double arrival_window = 250.0;
+  // Event-trace ring size; every case's stream must fit undropped.
+  std::size_t trace_chunks = 1024;
+  // Cluster size; the generated loads are sized for it too.
+  int machines = 10;
 };
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
@@ -50,11 +54,11 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
 }
 
 sim::Workload make_load(Load kind, std::uint64_t seed,
-                        double arrival_window = 250.0) {
+                        double arrival_window = 250.0, int machines = 10) {
   if (kind == Load::kSuite) {
     workload::SuiteConfig cfg;
     cfg.num_jobs = 24;
-    cfg.num_machines = 10;
+    cfg.num_machines = machines;
     cfg.task_scale = 0.04;
     cfg.arrival_window = arrival_window;
     cfg.seed = seed;
@@ -62,11 +66,11 @@ sim::Workload make_load(Load kind, std::uint64_t seed,
   }
   if (kind == Load::kConstrained) {
     // The suite above decorated with placement constraints (DESIGN.md
-    // §13); feasible by construction on the labeled 10-machine cluster
+    // §13); feasible by construction on the labeled cluster
     // make_sim_config builds for this load.
     workload::ConstrainedSuiteConfig cfg;
     cfg.base.num_jobs = 24;
-    cfg.base.num_machines = 10;
+    cfg.base.num_machines = machines;
     cfg.base.task_scale = 0.04;
     cfg.base.arrival_window = arrival_window;
     cfg.base.seed = seed;
@@ -75,7 +79,7 @@ sim::Workload make_load(Load kind, std::uint64_t seed,
   }
   workload::FacebookConfig cfg;
   cfg.num_jobs = 30;
-  cfg.num_machines = 10;
+  cfg.num_machines = machines;
   cfg.task_scale = 0.3;
   cfg.arrival_window = arrival_window;
   cfg.seed = seed;
@@ -84,14 +88,14 @@ sim::Workload make_load(Load kind, std::uint64_t seed,
 
 sim::SimConfig make_sim_config(const Case& c) {
   sim::SimConfig cfg;
-  cfg.num_machines = 10;
+  cfg.num_machines = c.machines;
   cfg.machine_capacity = workload::facebook_machine();
   cfg.tracker = c.tracker;
   cfg.estimation.mode = c.estimation;
   if (c.load == Load::kConstrained) {
     // Heterogeneous classes + racks so every constraint flavour (labels,
     // anti-affinity, same-rack-as-input) is live in the scan.
-    cfg.machine_labels = workload::make_class_labels(10);
+    cfg.machine_labels = workload::make_class_labels(c.machines);
     cfg.machines_per_rack = 5;
   }
   if (c.churn) {
@@ -172,7 +176,8 @@ class EquivalenceTest : public ::testing::TestWithParam<Case> {};
 // the matrix is now the naive oracle against the optimized path.
 TEST_P(EquivalenceTest, AllPathsAndThreadCountsAreBitIdentical) {
   const Case c = GetParam();
-  const sim::Workload w = make_load(c.load, c.seed, c.arrival_window);
+  const sim::Workload w =
+      make_load(c.load, c.seed, c.arrival_window, c.machines);
 
   const auto run = [&](bool naive) {
     sim::SimConfig cfg = make_sim_config(c);
@@ -180,7 +185,7 @@ TEST_P(EquivalenceTest, AllPathsAndThreadCountsAreBitIdentical) {
     // Record the event stream too: decision events must agree across the
     // whole matrix (DESIGN.md §10's cross-configuration contract).
     cfg.trace.enabled = true;
-    cfg.trace.max_chunks = 1024;
+    cfg.trace.max_chunks = c.trace_chunks;
     core::TetrisConfig tcfg = c.tetris;
     tcfg.naive_scoring = naive;
     core::TetrisScheduler sched(tcfg);

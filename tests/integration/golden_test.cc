@@ -6,8 +6,9 @@
 //
 // Each case runs through its public entry point twice, on the default path
 // and on the naive oracle (TetrisConfig::naive_scoring plus
-// SimConfig::naive_scheduler_view), and both runs must give the digest
-// committed below (tests/support/schedule_digest.h, perfbench's digest).
+// SimConfig::naive_scheduler_view; a baseline scheduler has only the
+// latter), and both runs must give the digest committed below
+// (tests/support/schedule_digest.h, perfbench's digest).
 //
 // A digest may change only in a change that says why and lists old -> new.
 // To regenerate after such a change, build and run
@@ -20,6 +21,7 @@
 // another standard library may give other digests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iomanip>
@@ -28,6 +30,7 @@
 
 #include "core/tetris_scheduler.h"
 #include "federation/federated_simulator.h"
+#include "sched/slot_scheduler.h"
 #include "sim/simulator.h"
 #include "tests/support/schedule_digest.h"
 #include "workload/constrained.h"
@@ -46,6 +49,7 @@ constexpr std::uint64_t kArrivalStream = 0x9f93b6737dbd3544ULL;
 constexpr std::uint64_t kFederatedCellKill = 0x3d5fda05ba2c693eULL;
 constexpr std::uint64_t kMachineChurn = 0x486544a9261cf6ecULL;
 constexpr std::uint64_t kPlacementConstraints = 0x7816a340a74f1b29ULL;
+constexpr std::uint64_t kBaselineContention = 0x1d98eda956058b02ULL;
 
 std::string hex(std::uint64_t v) {
   std::ostringstream os;
@@ -226,6 +230,29 @@ TEST(Golden, PlacementConstraints) {
                 [&](bool naive) {
                   return digest_of(simulate_tetris(cfg, w, {}, naive));
                 });
+}
+
+// The Table-8 backlog under the slot-fair baseline, run the way
+// bench/harness.h runs every baseline (allocation tracker). Tetris never
+// over-allocates, so none of the cases above reaches share ratios below
+// 1, interference, memory thrash or the allocation tracker; this one
+// stacks tasks until most of them run slower than their natural duration.
+TEST(Golden, BaselineContention) {
+  const sim::Workload w = facebook_trace(60, 10, /*arrival_window=*/0);
+  sim::SimConfig cfg = facebook_cluster(10);
+  cfg.tracker = sim::TrackerMode::kAllocation;
+  expect_golden("BaselineContention", kBaselineContention, [&](bool naive) {
+    sim::SimConfig run_cfg = cfg;
+    run_cfg.naive_scheduler_view = naive;
+    sched::SlotScheduler slot;
+    const sim::SimResult r = sim::simulate(run_cfg, w, slot);
+    const auto slow = std::count_if(
+        r.tasks.begin(), r.tasks.end(), [](const sim::TaskRecord& t) {
+          return t.finish - t.start > 1.01 * t.natural_duration;
+        });
+    EXPECT_GT(slow, static_cast<long>(r.tasks.size() / 2));
+    return digest_of(r);
+  });
 }
 
 }  // namespace

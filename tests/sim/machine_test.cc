@@ -17,7 +17,6 @@ class MachineTest : public ::testing::Test {
 TEST_F(MachineTest, StartsIdle) {
   EXPECT_EQ(machine_.num_tasks(), 0);
   EXPECT_TRUE(machine_.usage().is_zero());
-  EXPECT_EQ(machine_.available_by_allocation(), cap_);
   for (Resource r : all_resources()) EXPECT_EQ(machine_.share_ratio(r), 1.0);
 }
 
@@ -28,7 +27,6 @@ TEST_F(MachineTest, UnderSubscribedGrantsFully) {
   machine_.add_demand(1, d);
   EXPECT_EQ(machine_.grant_ratio(d), 1.0);
   EXPECT_EQ(machine_.usage()[Resource::kDiskRead], 50);
-  EXPECT_EQ(machine_.available_by_allocation()[Resource::kCpu], 2);
 }
 
 TEST_F(MachineTest, CpuOverSubscriptionSharesProportionally) {
@@ -148,14 +146,6 @@ TEST_F(MachineTest, UsageIncludesExternal) {
   d[Resource::kNetIn] = 30;
   machine_.add_demand(1, d);
   EXPECT_EQ(machine_.usage()[Resource::kNetIn], 90);
-}
-
-TEST_F(MachineTest, AvailableByAllocationFloorsAtZero) {
-  Resources d;
-  d[Resource::kCpu] = 3;
-  machine_.add_demand(1, d);
-  machine_.add_demand(2, d);
-  EXPECT_EQ(machine_.available_by_allocation()[Resource::kCpu], 0);
 }
 
 TEST_F(MachineTest, GrantRatioIgnoresUndemandedDimensions) {

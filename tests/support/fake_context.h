@@ -175,7 +175,6 @@ class FakeContext final : public sim::SchedulerContext {
   }
   void add_running(const sim::RunningTaskView& v) { running_.push_back(v); }
 
-  std::vector<sim::TaskReport> take_reports() override { return {}; }
   trace::Recorder* tracer() override { return tracer_; }
   void set_tracer(trace::Recorder* tracer) { tracer_ = tracer; }
 
