@@ -1,20 +1,14 @@
 #include "core/score_kernel.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "sched/common.h"
 
-// ISA gate: exactly one of the three paths below is compiled in. The
-// build system passes -mavx2 / -msse4.2 for this file alone when the
-// toolchain supports it (see src/core/CMakeLists.txt), or defines
-// TETRIS_SIMD_FORCE_SCALAR to pin the portable path — which is also what
-// non-x86 targets get, since neither __AVX2__ nor __SSE4_2__ is set.
+// ISA gate: exactly one of the two paths below is compiled in. The build
+// system passes -mavx2 for this file alone when the toolchain supports it
+// (see src/core/CMakeLists.txt), or defines TETRIS_SIMD_FORCE_SCALAR to
+// pin the portable path — which is also what non-x86 targets get, since
+// __AVX2__ is not set.
 #if !defined(TETRIS_SIMD_FORCE_SCALAR) && defined(__AVX2__)
 #define TETRIS_SIMD_AVX2 1
-#include <immintrin.h>
-#elif !defined(TETRIS_SIMD_FORCE_SCALAR) && defined(__SSE4_2__)
-#define TETRIS_SIMD_SSE 1
 #include <immintrin.h>
 #endif
 
@@ -122,148 +116,6 @@ void score_block(AlignmentKind kind, double remote_penalty, bool only_cpu_mem,
   ++*simd_blocks;
 }
 
-void fits_cpu_mem_mask(const util::ResourcePlanes& demand,
-                       const Resources& bound, unsigned char* out) {
-  // Thresholds depend only on `bound`: one scalar evaluation of the exact
-  // predicate expressions, broadcast to every lane.
-  const __m256d cpu_thr =
-      _mm256_set1_pd(bound[Resource::kCpu] * (1 + 1e-9) + 1e-9);
-  const __m256d mem_thr =
-      _mm256_set1_pd(bound[Resource::kMem] * (1 + 1e-9) + 1);
-  const double* dc = demand.plane(0);
-  const double* dm = demand.plane(1);
-  for (std::size_t i = 0; i < demand.padded_lanes(); i += 4) {
-    const __m256d ok = _mm256_and_pd(
-        _mm256_cmp_pd(_mm256_loadu_pd(dc + i), cpu_thr, _CMP_LE_OQ),
-        _mm256_cmp_pd(_mm256_loadu_pd(dm + i), mem_thr, _CMP_LE_OQ));
-    const int bits = _mm256_movemask_pd(ok);
-    for (int l = 0; l < 4; ++l)
-      out[i + static_cast<std::size_t>(l)] =
-          static_cast<unsigned char>((bits >> l) & 1);
-  }
-}
-
-Resources cwise_max_lanes(const util::ResourcePlanes& planes,
-                          std::size_t lanes) {
-  Resources out;  // zero accumulator, like the scalar fold's Resources{}
-  for (std::size_t r = 0; r < kNumResources; ++r) {
-    const double* p = planes.plane(r);
-    __m256d acc = _mm256_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 4 <= lanes; i += 4)
-      acc = _mm256_max_pd(acc, _mm256_loadu_pd(p + i));
-    alignas(32) double v[4];
-    _mm256_store_pd(v, acc);
-    double s = std::max(std::max(v[0], v[1]), std::max(v[2], v[3]));
-    // Lanes past `lanes` may be live non-machine lanes (rack uplinks),
-    // not padding: never read them.
-    for (; i < lanes; ++i) s = std::max(s, p[i]);
-    out.at(r) = s;
-  }
-  return out;
-}
-
-#elif defined(TETRIS_SIMD_SSE)
-
-int lane_width() { return 2; }
-std::string_view isa_name() { return "sse4.2"; }
-
-namespace {
-
-__m128d fit_mask_all(const ScoreBlock& in) {
-  const __m128d eps = _mm_set1_pd(1e-9);
-  const __m128d one = _mm_set1_pd(1.0);
-  const __m128d abs_mask =
-      _mm_castsi128_pd(_mm_set1_epi64x(0x7fffffffffffffffLL));
-  __m128d fit = _mm_cmpeq_pd(one, one);  // all-ones
-  for (std::size_t r = 0; r < kNumResources; ++r) {
-    const __m128d a = _mm_load_pd(in.avail[r]);
-    const __m128d d = _mm_load_pd(in.demand[r]);
-    const __m128d slack =
-        _mm_mul_pd(eps, _mm_max_pd(one, _mm_and_pd(a, abs_mask)));
-    fit = _mm_and_pd(fit, _mm_cmple_pd(d, _mm_add_pd(a, slack)));
-  }
-  return fit;
-}
-
-__m128d fit_mask_cpu_mem(const ScoreBlock& in) {
-  const __m128d rel = _mm_set1_pd(1.0 + 1e-9);
-  const __m128d cpu_thr = _mm_add_pd(
-      _mm_mul_pd(_mm_load_pd(in.avail[0]), rel), _mm_set1_pd(1e-9));
-  const __m128d mem_thr = _mm_add_pd(
-      _mm_mul_pd(_mm_load_pd(in.avail[1]), rel), _mm_set1_pd(1.0));
-  return _mm_and_pd(_mm_cmple_pd(_mm_load_pd(in.demand[0]), cpu_thr),
-                    _mm_cmple_pd(_mm_load_pd(in.demand[1]), mem_thr));
-}
-
-}  // namespace
-
-void score_block(AlignmentKind kind, double remote_penalty, bool only_cpu_mem,
-                 const ScoreBlock& in, ScoreOut* out, long* simd_blocks,
-                 long* scalar_tail_evals) {
-  if (kind != AlignmentKind::kCosine || in.n != 2) {
-    for (std::size_t l = 0; l < in.n; ++l)
-      score_lane_scalar(kind, remote_penalty, only_cpu_mem, in, l, out);
-    *scalar_tail_evals += static_cast<long>(in.n);
-    return;
-  }
-  const __m128d fit = only_cpu_mem ? fit_mask_cpu_mem(in) : fit_mask_all(in);
-  const __m128d zero = _mm_setzero_pd();
-  __m128d acc = zero;
-  for (std::size_t r = 0; r < kNumResources; ++r) {
-    const __m128d c = _mm_load_pd(in.cap[r]);
-    const __m128d live = _mm_cmpgt_pd(c, zero);
-    const __m128d dn =
-        _mm_and_pd(_mm_div_pd(_mm_load_pd(in.demand[r]), c), live);
-    const __m128d an =
-        _mm_and_pd(_mm_div_pd(_mm_load_pd(in.avail[r]), c), live);
-    acc = _mm_add_pd(acc, _mm_mul_pd(dn, an));
-  }
-  const __m128d one = _mm_set1_pd(1.0);
-  const __m128d pen = _mm_sub_pd(
-      one, _mm_mul_pd(_mm_set1_pd(remote_penalty),
-                      _mm_sub_pd(one, _mm_load_pd(in.local_fraction))));
-  _mm_store_pd(out->score, _mm_mul_pd(acc, pen));
-  const int bits = _mm_movemask_pd(fit);
-  for (int l = 0; l < 2; ++l) out->fit[l] = (bits >> l) & 1;
-  ++*simd_blocks;
-}
-
-void fits_cpu_mem_mask(const util::ResourcePlanes& demand,
-                       const Resources& bound, unsigned char* out) {
-  const __m128d cpu_thr =
-      _mm_set1_pd(bound[Resource::kCpu] * (1 + 1e-9) + 1e-9);
-  const __m128d mem_thr =
-      _mm_set1_pd(bound[Resource::kMem] * (1 + 1e-9) + 1);
-  const double* dc = demand.plane(0);
-  const double* dm = demand.plane(1);
-  for (std::size_t i = 0; i < demand.padded_lanes(); i += 2) {
-    const __m128d ok =
-        _mm_and_pd(_mm_cmple_pd(_mm_loadu_pd(dc + i), cpu_thr),
-                   _mm_cmple_pd(_mm_loadu_pd(dm + i), mem_thr));
-    const int bits = _mm_movemask_pd(ok);
-    out[i] = static_cast<unsigned char>(bits & 1);
-    out[i + 1] = static_cast<unsigned char>((bits >> 1) & 1);
-  }
-}
-
-Resources cwise_max_lanes(const util::ResourcePlanes& planes,
-                          std::size_t lanes) {
-  Resources out;
-  for (std::size_t r = 0; r < kNumResources; ++r) {
-    const double* p = planes.plane(r);
-    __m128d acc = _mm_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 2 <= lanes; i += 2) acc = _mm_max_pd(acc, _mm_loadu_pd(p + i));
-    alignas(16) double v[2];
-    _mm_store_pd(v, acc);
-    double s = std::max(v[0], v[1]);
-    for (; i < lanes; ++i) s = std::max(s, p[i]);
-    out.at(r) = s;
-  }
-  return out;
-}
-
 #else  // portable scalar build
 
 int lane_width() { return 1; }
@@ -275,28 +127,6 @@ void score_block(AlignmentKind kind, double remote_penalty, bool only_cpu_mem,
   for (std::size_t l = 0; l < in.n; ++l)
     score_lane_scalar(kind, remote_penalty, only_cpu_mem, in, l, out);
   *scalar_tail_evals += static_cast<long>(in.n);
-}
-
-void fits_cpu_mem_mask(const util::ResourcePlanes& demand,
-                       const Resources& bound, unsigned char* out) {
-  const double cpu_thr = bound[Resource::kCpu] * (1 + 1e-9) + 1e-9;
-  const double mem_thr = bound[Resource::kMem] * (1 + 1e-9) + 1;
-  const double* dc = demand.plane(0);
-  const double* dm = demand.plane(1);
-  for (std::size_t i = 0; i < demand.padded_lanes(); ++i)
-    out[i] = (dc[i] <= cpu_thr && dm[i] <= mem_thr) ? 1 : 0;
-}
-
-Resources cwise_max_lanes(const util::ResourcePlanes& planes,
-                          std::size_t lanes) {
-  Resources out;
-  for (std::size_t r = 0; r < kNumResources; ++r) {
-    const double* p = planes.plane(r);
-    double s = 0.0;
-    for (std::size_t i = 0; i < lanes; ++i) s = std::max(s, p[i]);
-    out.at(r) = s;
-  }
-  return out;
 }
 
 #endif

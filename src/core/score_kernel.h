@@ -19,10 +19,10 @@
 // is routed through the scalar reference lane instead.
 //
 // ISA selection is compile-time: the build compiles this one translation
-// unit with -mavx2 (4 lanes) or -msse4.2 (2 lanes) when the toolchain
-// supports it, or as portable scalar code (1 lane) under
-// TETRIS_SIMD_FORCE_SCALAR / unknown ISAs. Only this TU carries the ISA
-// flags, so the rest of the build stays baseline-portable.
+// unit with -mavx2 (4 lanes) when the toolchain supports it, or as
+// portable scalar code (1 lane) under TETRIS_SIMD_FORCE_SCALAR / other
+// ISAs. Only this TU carries the ISA flags, so the rest of the build
+// stays baseline-portable.
 #pragma once
 
 #include <cstddef>
@@ -30,13 +30,12 @@
 
 #include "core/alignment.h"
 #include "util/resources.h"
-#include "util/soa_planes.h"
 
 namespace tetris::core::simd {
 
-// Lanes per vector block in this build: 4 (AVX2), 2 (SSE4.2), 1 (scalar).
+// Lanes per vector block in this build: 4 (AVX2), 1 (scalar).
 int lane_width();
-// "avx2", "sse4.2" or "scalar" — for logs and bench CSVs.
+// "avx2" or "scalar" — for logs and bench CSVs.
 std::string_view isa_name();
 
 // A block of gathered cells awaiting the fused evaluation, stored
@@ -72,20 +71,5 @@ struct ScoreOut {
 void score_block(AlignmentKind kind, double remote_penalty, bool only_cpu_mem,
                  const ScoreBlock& in, ScoreOut* out, long* simd_blocks,
                  long* scalar_tail_evals);
-
-// Writes fits_cpu_mem(demand lane g, bound) into out[g] for every lane of
-// `demand`, padding included — size `out` to demand.padded_lanes().
-// Bit-identical per lane to the scalar predicate: the two comparison
-// thresholds depend only on `bound` and are computed once with the scalar
-// expression.
-void fits_cpu_mem_mask(const util::ResourcePlanes& demand,
-                       const Resources& bound, unsigned char* out);
-
-// Component-wise max over the first `lanes` lanes, folded into a zero
-// accumulator — the free-capacity fit index. max is exact and
-// order-independent, and the zero-padded tail cannot raise a max of
-// non-negative planes, so this equals the scalar per-machine fold.
-Resources cwise_max_lanes(const util::ResourcePlanes& planes,
-                          std::size_t lanes);
 
 }  // namespace tetris::core::simd

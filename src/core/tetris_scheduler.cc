@@ -154,11 +154,6 @@ struct TetrisScheduler::Pass {
   // the virtuals — same values, just slower.
   const util::ResourcePlanes* avail_planes = nullptr;
   const util::ResourcePlanes* cap_planes = nullptr;
-  // Free-capacity index: component-wise max availability over up
-  // machines, and the row fit mask of each group's estimate against it.
-  util::ResourcePlanes group_demand;
-  std::vector<unsigned char> row_fit;
-  Resources max_avail;
   // Future-demand hold-back: stages about to unblock, and the claims
   // they hold this round.
   std::vector<ImminentDemand> imminent;
@@ -432,12 +427,10 @@ void TetrisScheduler::prepare_scan(Pass& p) {
     cell_slots_.resize(num_cells);
     cell_fresh_.resize(num_cells);
     cell_rejected_.resize(num_cells);
-    cell_probe_ok_.resize(num_cells);
     cell_sticky_.resize(num_cells);
   }
   std::fill_n(cell_fresh_.begin(), num_cells, 0);
   std::fill_n(cell_rejected_.begin(), num_cells, 0);
-  std::fill_n(cell_probe_ok_.begin(), num_cells, 0);
   std::fill_n(cell_sticky_.begin(), num_cells, 0);
   p.row_rejected.assign(num_groups, 0);
 
@@ -459,38 +452,6 @@ void TetrisScheduler::prepare_scan(Pass& p) {
   if (p.naive) return;
   p.avail_planes = p.ctx.availability_planes();
   p.cap_planes = p.ctx.capacity_planes();
-  // Per-group estimated-demand planes for the row fit mask: fits_cpu_mem
-  // of every row against the fit index in one vector sweep per
-  // recompute. est_demand is pass-constant, so the planes are built once.
-  p.group_demand.reset(num_groups);
-  for (std::size_t g = 0; g < num_groups; ++g)
-    p.group_demand.set(g, p.groups[g].est_demand);
-  p.row_fit.assign(p.group_demand.padded_lanes(), 0);
-  recompute_fit_index(p);
-}
-
-// Free-capacity index: fits_cpu_mem failing against the component-wise
-// max availability implies the same failure against every machine (the
-// predicate is monotone per component), so skipping a row only ever
-// skips would-be rejections. Fresh non-rejected cells cannot hide behind
-// a skip: their machine's availability is unchanged since they were
-// scored (commit invalidates the columns it drains), and the index
-// dominates it.
-void TetrisScheduler::recompute_fit_index(Pass& p) const {
-  if (p.avail_planes != nullptr) {
-    // Down machines hold zero in the availability planes and every plane
-    // value is >= 0 (max_zero'd), so folding them in is exact; lanes past
-    // num_machines are rack uplinks and stay excluded.
-    p.max_avail = simd::cwise_max_lanes(
-        *p.avail_planes, static_cast<std::size_t>(p.num_machines));
-  } else {
-    p.max_avail = Resources{};
-    for (int m = 0; m < p.num_machines; ++m) {
-      if (!p.ctx.machine_up(m)) continue;
-      p.max_avail = p.max_avail.cwise_max(p.ctx.available(m));
-    }
-  }
-  simd::fits_cpu_mem_mask(p.group_demand, p.max_avail, p.row_fit.data());
 }
 
 bool TetrisScheduler::scan_round(Pass& p) {
@@ -666,24 +627,23 @@ void TetrisScheduler::refresh_cell_naive(Pass& p, std::size_t g, int m) {
 //   * sticky rejection: a cell rejected for fit reasons stays rejected
 //     under lower availability, so a column invalidation need not
 //     re-evaluate it;
-//   * probe reuse: a column invalidation leaves the group's candidate
-//     set untouched, so the kept probe is bit-identical to a re-probe
-//     and only fit + alignment need recomputing;
-//   * free-capacity index and whole-row skips (the row filters).
-// None of them changes which cells get *scored*, so the eps normalizer —
-// and with it every placement — matches the naive scan bit for bit.
+//   * whole-row skip: a row whose cells are all fresh and rejected would
+//     do nothing at all.
+// Neither changes which cells get *scored*, so the eps normalizer — and
+// with it every placement — matches the naive scan bit for bit. A stale
+// cell that passes the cheap reject is re-probed; when only its column
+// moved, the stage's probe slot replays the probe (DESIGN.md §8.3).
 void TetrisScheduler::scan_wave(Pass& p, int tier, std::size_t* cutoff) {
   const int num_machines = p.num_machines;
   const int reserved = tier < 2 ? p.reserved_machine : -1;
 
   // Phase A's half of a refresh: everything the naive refresh does up to
   // the score itself — the sticky shortcut, rejected-until-proven marking,
-  // runnable/up/constraint checks, the cheap cpu/mem reject, the probe (or
-  // its reuse) and the full admission test. Returns true iff the cell
-  // passed admission and its alignment must come from the kernel. Gating
-  // on the scalar admission here keeps the batch dense: a cell the naive
-  // scan rejects with a component compare never pays the gather and lane
-  // cost.
+  // runnable/up/constraint checks, the cheap cpu/mem reject, the probe and
+  // the full admission test. Returns true iff the cell passed admission
+  // and its alignment must come from the kernel. Gating on the scalar
+  // admission here keeps the batch dense: a cell the naive scan rejects
+  // with a component compare never pays the gather and lane cost.
   const auto prepare_cell = [&](std::size_t g, int m, std::size_t ci) {
     if (cell_rejected_[ci] && cell_sticky_[ci]) {
       // The rejection was a fit test against availability that has only
@@ -704,36 +664,27 @@ void TetrisScheduler::scan_wave(Pass& p, int tier, std::size_t* cutoff) {
     if (!sched::fits_cpu_mem(group.est_demand, p.ctx.available(m)))
       return false;
     CellSlot& c = cell_slots_[ci];
-    if (!cell_probe_ok_[ci]) {
-      p.ctx.probe_into(group.ref, m, &c.probe);
-      p.pc.probes_issued++;
-      if (!c.probe.valid) {
-        group.runnable = 0;  // no candidate task left anywhere
-        return false;
-      }
-      cell_probe_ok_[ci] = 1;
-    } else {
-      p.pc.probe_reuses++;
+    p.ctx.probe_into(group.ref, m, &c.probe);
+    p.pc.probes_issued++;
+    if (!c.probe.valid) {
+      group.runnable = 0;  // no candidate task left anywhere
+      return false;
     }
     return admits(config_, p.ctx, c.probe);
   };
 
   // Phase A: the wave's rows in order, through the naive scan's row
-  // filters (each row's filters read only state this wave has not yet
-  // touched). Each stale cell is refreshed up to its score; a cell that
-  // passes full admission joins the pending list, and every potentially
-  // live cell joins the visit list — both in scan order. Stale cells
-  // count as rejected until Phase B scores them.
+  // filters and the whole-row skip (each reads only state this wave has
+  // not yet touched). Each stale cell is refreshed up to its score; a
+  // cell that passes full admission joins the pending list, and every
+  // potentially live cell joins the visit list — both in scan order.
+  // Stale cells count as rejected until Phase B scores them.
   p.pending.clear();
   p.visit.clear();
   for (const std::size_t g : p.tier_rows[static_cast<std::size_t>(tier)]) {
     if (g >= *cutoff) break;  // rows are ascending
     // Priority tiers bypass the fairness restriction (§3.5).
     if (tier == 0 && !p.eligible_job[p.row_job[g]]) continue;
-    if (!p.row_fit[g]) {
-      p.pc.fit_index_skips += num_machines;
-      continue;
-    }
     if (p.row_rejected[g] == num_machines) {
       p.pc.row_skips += num_machines;
       continue;
@@ -850,10 +801,9 @@ void TetrisScheduler::commit(Pass& p) {
   const sim::Probe placed = best.probe;
   if (!p.ctx.place(placed)) {
     // Stale probe: the candidate set changed under us. Not an
-    // availability-monotone rejection — leave sticky unset and drop the
-    // probe so the next refresh recomputes from scratch, as naive does.
+    // availability-monotone rejection — leave sticky unset so the next
+    // refresh re-probes, as naive does.
     cell_rejected_[best_ci] = 1;
-    cell_probe_ok_[best_ci] = 0;
     p.row_rejected[g]++;
     return;
   }
@@ -892,13 +842,12 @@ void TetrisScheduler::commit(Pass& p) {
   // Invalidate what the placement changed: the group's candidate task,
   // the host machine's availability, and the remote sources' budgets.
   // The placed group's row loses everything — its candidate set changed,
-  // so cached probes and rejections are void. Column invalidations only
-  // reflect fallen availability: cached probes stay valid (the probe is
-  // availability-independent) and rejections stay sticky.
+  // so cached rejections are void. Column invalidations only reflect
+  // fallen availability: rejections stay sticky, and the re-probe of a
+  // live cell is answered by its stage's probe slot.
   for (int m = 0; m < p.num_machines; ++m) {
     const std::size_t ci = p.cidx(g, m);
     cell_fresh_[ci] = 0;
-    cell_probe_ok_[ci] = 0;
     cell_rejected_[ci] = 0;
     cell_sticky_[ci] = 0;
   }
@@ -917,7 +866,6 @@ void TetrisScheduler::commit(Pass& p) {
         invalidate_column_cell(row, leg.machine);
     }
   }
-  if (!p.naive) recompute_fit_index(p);
 }
 
 // Fairness preemption (extension): the rounds exhausted every placeable

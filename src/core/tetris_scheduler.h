@@ -95,7 +95,7 @@ struct TetrisConfig {
 
   // Oracle switch for the hot-path shortcuts (DESIGN.md §8): when true,
   // every stale candidate cell is fully recomputed — no sticky
-  // rejections, no probe reuse, no free-capacity index. Produces
+  // rejections, no whole-row skips, no SIMD kernel. Produces
   // bit-identical schedules to the optimized default (the equivalence
   // property test enforces it); exists so the oracle stays runnable.
   bool naive_scoring = false;
@@ -142,7 +142,6 @@ class TetrisScheduler final : public sim::Scheduler {
   std::unordered_set<sim::JobId> eligible_set(const Pass& p) const;
   void refresh_eligibility(Pass& p) const;
   void prepare_scan(Pass& p);
-  void recompute_fit_index(Pass& p) const;
   // Scan round: picks the round's best <group, machine> cell into `p`;
   // false when no candidate remains.
   bool scan_round(Pass& p);
@@ -172,7 +171,7 @@ class TetrisScheduler final : public sim::Scheduler {
   // (DESIGN.md §12.5): the heavy payload (probe + alignment) lives in
   // slots that survive across passes — so every probe keeps its
   // remote-leg buffer capacity — while the per-pass scan flags are
-  // separate byte planes reset with four fills. Constructing and
+  // separate byte planes reset with three fills. Constructing and
   // destroying the matrix each pass (megabytes of value-init plus a
   // vector free per probed cell) was a top slice of pass latency.
   // Rows are positional per pass; slot contents are only read after this
@@ -184,7 +183,6 @@ class TetrisScheduler final : public sim::Scheduler {
   std::vector<CellSlot> cell_slots_;
   std::vector<unsigned char> cell_fresh_;     // probe + alignment up to date
   std::vector<unsigned char> cell_rejected_;  // does not fit; may be sticky
-  std::vector<unsigned char> cell_probe_ok_;  // probe matches candidate set
   std::vector<unsigned char> cell_sticky_;    // rejection monotone in avail
 };
 

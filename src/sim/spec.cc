@@ -1,6 +1,7 @@
 #include "sim/spec.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 namespace tetris::sim {
@@ -13,6 +14,12 @@ std::size_t Workload::total_tasks() const {
 }
 
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Each check states the legal range positively, so NaN — which fails
+// every comparison — is rejected along with out-of-range values.
+bool finite_nonneg(double x) { return 0 <= x && x < kInf; }
 
 // Detects cycles among stage deps with an iterative three-color DFS.
 bool has_cycle(const JobSpec& job) {
@@ -88,7 +95,8 @@ std::string validate_impl(const JobSpec& job,
   std::ostringstream err;
   const int n = static_cast<int>(job.stages.size());
   if (n == 0) return "job '" + job.name + "' has no stages";
-  if (job.arrival < 0) return "job '" + job.name + "' has negative arrival";
+  if (!finite_nonneg(job.arrival))
+    return "job '" + job.name + "' arrival must be finite and >= 0";
   for (int s = 0; s < n; ++s) {
     const auto& stage = job.stages[s];
     if (stage.tasks.empty()) {
@@ -105,14 +113,20 @@ std::string validate_impl(const JobSpec& job,
       return msg;
     for (std::size_t t = 0; t < stage.tasks.size(); ++t) {
       const auto& task = stage.tasks[t];
-      if (task.cpu_cycles < 0 || task.output_bytes < 0) {
+      if (!finite_nonneg(task.cpu_cycles) ||
+          !finite_nonneg(task.output_bytes)) {
         err << "job '" << job.name << "' stage " << s << " task " << t
-            << " has negative work";
+            << " work must be finite and >= 0";
         return err.str();
       }
-      if (task.peak_cores < 0 || task.peak_mem < 0 || task.max_io_bw <= 0) {
+      if (!finite_nonneg(task.peak_cores) || !finite_nonneg(task.peak_mem)) {
         err << "job '" << job.name << "' stage " << s << " task " << t
-            << " has negative demand";
+            << " demand must be finite and >= 0";
+        return err.str();
+      }
+      if (!(0 < task.max_io_bw && task.max_io_bw < kInf)) {
+        err << "job '" << job.name << "' stage " << s << " task " << t
+            << " max_io_bw must be finite and > 0";
         return err.str();
       }
       if (task.cpu_cycles > 0 && task.peak_cores <= 0) {
@@ -121,9 +135,9 @@ std::string validate_impl(const JobSpec& job,
         return err.str();
       }
       for (const auto& split : task.inputs) {
-        if (split.bytes < 0) {
+        if (!finite_nonneg(split.bytes)) {
           err << "job '" << job.name << "' stage " << s << " task " << t
-              << " has negative split bytes";
+              << " split bytes must be finite and >= 0";
           return err.str();
         }
         if (split.from_stage >= 0 &&

@@ -1,8 +1,8 @@
 // Lightweight hot-path instrumentation for the scheduling pass (paper
 // §5.5, Table 8): plain counters bumped by the scheduler and by the
 // simulator's context caches, aggregated into SimResult so benches can
-// report *why* a pass was fast (cache hits, index skips) next to how fast
-// it was. Counting is observation only — no counter may influence a
+// report *why* a pass was fast (cache hits, skipped cells) next to how
+// fast it was. Counting is observation only — no counter may influence a
 // scheduling decision, or the naive/optimized equivalence oracle breaks.
 #pragma once
 
@@ -10,12 +10,15 @@ namespace tetris::util {
 
 struct PerfCounters {
   // Scheduler-side (per candidate <group, machine> cell):
-  long score_evals = 0;      // alignment scores computed
-  long probes_issued = 0;    // ctx.probe() calls made by the scheduler
-  long probe_reuses = 0;     // stale cells rescored from a kept probe
-  long sticky_rejects = 0;   // stale cells skipped: rejection is monotone
-  long fit_index_skips = 0;  // cells skipped by the free-capacity index
-  long row_skips = 0;        // cells skipped: whole row fresh-and-rejected
+  long score_evals = 0;     // alignment scores computed
+  long probes_issued = 0;   // ctx.probe() calls made by the scheduler
+  long sticky_rejects = 0;  // stale cells skipped: rejection is monotone
+  long row_skips = 0;       // cells skipped: whole row fresh-and-rejected
+  // Always 0: the scan's probe reuse and free-capacity index are gone
+  // (DESIGN.md §8.2); the stage's probe slot answers every re-probe. Kept
+  // only because perfbench reads them.
+  long probe_reuses = 0;
+  long fit_index_skips = 0;
 
   // SIMD scoring kernel (DESIGN.md §12). Every cell the optimized scan
   // scores is one kernel lane, so on that path

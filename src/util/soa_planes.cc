@@ -7,9 +7,7 @@ namespace tetris::util {
 
 void ResourcePlanes::reset(std::size_t lanes) {
   lanes_ = lanes;
-  padded_ = (lanes + kLanePad - 1) / kLanePad * kLanePad;
-  if (padded_ == 0) padded_ = kLanePad;  // a valid (all-pad) block to read
-  data_.assign(kNumResources * padded_, 0.0);
+  data_.assign(kNumResources * lanes, 0.0);
 }
 
 void ResourcePlanes::set(std::size_t lane, const Resources& v) {
@@ -45,7 +43,7 @@ ResourcePlanes ResourcePlanes::rebuilt_from(const std::vector<Resources>& v) {
 }
 
 bool ResourcePlanes::identical_to(const ResourcePlanes& o) const {
-  return lanes_ == o.lanes_ && padded_ == o.padded_ && data_ == o.data_;
+  return lanes_ == o.lanes_ && data_ == o.data_;
 }
 
 }  // namespace tetris::util

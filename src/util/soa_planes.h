@@ -1,11 +1,8 @@
 // Structure-of-arrays storage for per-lane resource vectors (DESIGN.md
 // §12). Where `std::vector<Resources>` interleaves the six dimensions of
 // every machine (array-of-structs), `ResourcePlanes` keeps one contiguous
-// double array *per resource dimension* — a "plane" — so a vector kernel
-// can load W machines' cpu (or mem, ...) values with a single aligned
-// load. Lane counts are rounded up to `kLanePad` and the padding lanes
-// are pinned to zero, so kernels may always read full blocks without a
-// bounds branch.
+// double array *per resource dimension* — a "plane" — of exactly
+// `lanes()` doubles.
 //
 // The mutation ops mirror the scheduler-context bookkeeping expressions
 // bit for bit: `sub_max_zero` is `(lane - d).max_zero()`,
@@ -23,23 +20,16 @@ namespace tetris::util {
 
 class ResourcePlanes {
  public:
-  // Lanes are padded to a multiple of this. 8 doubles = 64 bytes covers
-  // AVX2 (4-wide) and SSE (2-wide) blocks and keeps each plane row
-  // starting on a cache line when the backing allocation is aligned.
-  static constexpr std::size_t kLanePad = 8;
-
   ResourcePlanes() = default;
   explicit ResourcePlanes(std::size_t lanes) { reset(lanes); }
 
-  // Reset to `lanes` all-zero lanes (plus zero padding).
+  // Reset to `lanes` all-zero lanes.
   void reset(std::size_t lanes);
 
   std::size_t lanes() const { return lanes_; }
-  std::size_t padded_lanes() const { return padded_; }
 
-  // Contiguous plane for resource dimension `r`; `padded_lanes()` doubles,
-  // the tail `padded_lanes() - lanes()` of which are always zero.
-  const double* plane(std::size_t r) const { return data_.data() + r * padded_; }
+  // Contiguous plane for resource dimension `r`: `lanes()` doubles.
+  const double* plane(std::size_t r) const { return data_.data() + r * lanes_; }
 
   // Read or write one lane as a `Resources` value.
   void set(std::size_t lane, const Resources& v);
@@ -56,16 +46,14 @@ class ResourcePlanes {
   // `rebuilt_from` of the equivalent Resources vector.
   static ResourcePlanes rebuilt_from(const std::vector<Resources>& v);
 
-  // Exact (bitwise, via ==) equality over every lane *including padding*,
-  // so a mutation that strays into the pad is caught.
+  // Exact (via ==) equality of the lane count and every lane.
   bool identical_to(const ResourcePlanes& o) const;
 
  private:
-  double* mutable_plane(std::size_t r) { return data_.data() + r * padded_; }
+  double* mutable_plane(std::size_t r) { return data_.data() + r * lanes_; }
 
   std::size_t lanes_ = 0;
-  std::size_t padded_ = 0;
-  std::vector<double> data_;  // kNumResources planes of padded_ doubles
+  std::vector<double> data_;  // kNumResources planes of lanes_ doubles
 };
 
 }  // namespace tetris::util

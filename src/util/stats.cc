@@ -122,18 +122,4 @@ std::string Histogram2D::to_csv() const {
   return os.str();
 }
 
-void RunningStats::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  max_ = n_ == 1 ? x : std::max(max_, x);
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stdev() const { return std::sqrt(variance()); }
-
 }  // namespace tetris

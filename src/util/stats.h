@@ -71,21 +71,4 @@ class Histogram2D {
   std::size_t total_ = 0;
 };
 
-// Online mean/variance accumulator (Welford).
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;
-  double stdev() const;
-  double max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
-  double max_ = 0;
-};
-
 }  // namespace tetris

@@ -1,9 +1,8 @@
 // The SIMD scoring kernel (DESIGN.md §12) against its scalar oracle, at
 // every level: per-lane kernel outputs vs the exact scalar expressions,
-// the batch admission mask vs sched::fits_cpu_mem, the vector fit-index
-// fold vs the per-machine cwise_max loop, and full-simulation
-// bit-identity at machine counts that are NOT a multiple
-// of the vector width (so partial blocks and the scalar tail are forced).
+// and full-simulation bit-identity at machine counts that are NOT a
+// multiple of the vector width (so partial blocks and the scalar tail are
+// forced).
 #include "core/score_kernel.h"
 
 #include <gtest/gtest.h>
@@ -70,8 +69,6 @@ TEST(ScoreKernelTest, LaneWidthMatchesIsa) {
   const std::string_view isa = core::simd::isa_name();
   if (isa == "avx2") {
     EXPECT_EQ(w, 4);
-  } else if (isa == "sse4.2") {
-    EXPECT_EQ(w, 2);
   } else {
     EXPECT_EQ(isa, "scalar");
     EXPECT_EQ(w, 1);
@@ -156,53 +153,9 @@ TEST(ScoreKernelTest, PartialBlocksTakeScalarTail) {
   }
 }
 
-TEST(ScoreKernelTest, FitsCpuMemMaskMatchesScalarPredicate) {
-  std::mt19937_64 rng(17);
-  for (const std::size_t lanes : {1u, 7u, 8u, 13u}) {
-    util::ResourcePlanes demand(lanes);
-    std::vector<Resources> d(lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      d[l] = random_resources(rng, 0.0, 8.0);
-      demand.set(l, d[l]);
-    }
-    const Resources bound = random_resources(rng, 0.0, 8.0);
-    std::vector<unsigned char> mask(demand.padded_lanes(), 0xFF);
-    core::simd::fits_cpu_mem_mask(demand, bound, mask.data());
-    for (std::size_t l = 0; l < lanes; ++l) {
-      EXPECT_EQ(mask[l] != 0, sched::fits_cpu_mem(d[l], bound))
-          << "lanes " << lanes << " lane " << l;
-    }
-  }
-}
-
-TEST(ScoreKernelTest, CwiseMaxLanesMatchesScalarFold) {
-  std::mt19937_64 rng(19);
-  for (const std::size_t lanes : {0u, 1u, 5u, 8u, 13u}) {
-    util::ResourcePlanes planes(lanes);
-    Resources want;  // zero accumulator, as the scheduler's fold starts
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const Resources v = random_resources(rng, 0.0, 10.0);
-      planes.set(l, v);
-      want = want.cwise_max(v);
-    }
-    EXPECT_EQ(core::simd::cwise_max_lanes(planes, lanes), want)
-        << "lanes " << lanes;
-  }
-}
-
-// Live lanes past the fold bound must not leak in: the scheduler folds
-// only real machines, but rack-uplink lanes live in the same planes.
-TEST(ScoreKernelTest, CwiseMaxLanesIgnoresLanesPastBound) {
-  util::ResourcePlanes planes(6);
-  for (std::size_t l = 0; l < 4; ++l) planes.set(l, Resources::uniform(2.0));
-  planes.set(4, Resources::uniform(100.0));  // uplink lane: out of bounds
-  planes.set(5, Resources::uniform(100.0));
-  EXPECT_EQ(core::simd::cwise_max_lanes(planes, 4), Resources::uniform(2.0));
-}
-
 // --- scalar-tail simulation equivalence ---
 
-// Machine counts 7 and 13 are coprime to every lane width (2, 4), so the
+// Machine counts 7 and 13 are coprime to the lane width (4), so the
 // wave batches continually end in partial blocks: the scalar tail and the
 // vector body must interleave without disturbing bit-identity.
 TEST(ScoreKernelTailTest, OddMachineCountsStayBitIdentical) {
@@ -278,7 +231,7 @@ class PlaneCheckingScheduler : public sim::Scheduler {
       ASSERT_EQ(avail->gather(m), avail_aos[m]) << "machine " << m;
       ASSERT_EQ(cap->gather(m), cap_aos[m]) << "machine " << m;
     }
-    // Padding and layout intact: bit-identical to a fresh rebuild.
+    // Layout intact: bit-identical to a fresh rebuild.
     ASSERT_TRUE(avail->identical_to(util::ResourcePlanes::rebuilt_from(
         avail_aos)));
     ASSERT_TRUE(cap->identical_to(util::ResourcePlanes::rebuilt_from(

@@ -676,9 +676,9 @@ INSTANTIATE_TEST_SUITE_P(
         KnobCase{0.25, 0.9, 1, AlignmentKind::kFfdSum}));
 
 // ---------------------------------------------------------------------------
-// Hot-path shortcuts (DESIGN.md §8), pinned through the FakeContext: the
-// free-capacity index, sticky rejection and probe reuse must change only
-// how much work a pass does — never which placements it commits.
+// Hot-path shortcuts (DESIGN.md §8), pinned through the FakeContext:
+// sticky rejection and the whole-row skip must change only how much work
+// a pass does — never which placements it commits.
 
 Resources cpu_mem(double cores, double mem_gb) {
   Resources d;
@@ -692,15 +692,14 @@ test::FakeContext hot_path_context() {
       Resources::full(8, 8 * kGB, 100 * kMB, 100 * kMB, 125 * kMB, 125 * kMB);
   test::FakeContext ctx({cap, cap});
   // Machine 0 is cpu-rich / mem-poor, machine 1 the reverse: group E fits
-  // the component-wise max (so the free-capacity index cannot drop it) but
-  // no single machine, so it cheap-rejects everywhere and every later
-  // placement-triggered re-touch of its cells must answer from the sticky
-  // bit. G outranks F on machine 0 and places first, so F's already-valid
-  // probe there is re-scored via probe reuse in the next round.
+  // the component-wise max but no single machine, so it cheap-rejects
+  // everywhere and every later placement-triggered re-touch of its cells
+  // must answer from the sticky bit. G outranks F on machine 0 and places
+  // first, so F's cell there is re-probed and re-scored in the next round.
   ctx.set_available(0, cpu_mem(6, 1));
   ctx.set_available(1, cpu_mem(1, 6));
   ctx.add_group(0, 0, 1, cpu_mem(4, 4));     // E: fits nowhere, sticky
-  ctx.add_group(1, 0, 3, cpu_mem(1, 0.5));   // F: placed via probe reuse
+  ctx.add_group(1, 0, 3, cpu_mem(1, 0.5));   // F: re-probed after G lands
   ctx.add_group(2, 0, 1, cpu_mem(2, 0.25));  // G: wins round 1 on machine 0
   return ctx;
 }
@@ -730,12 +729,13 @@ TEST(TetrisHotPath, OptimizedPlacesExactlyWhatNaivePlaces) {
     EXPECT_EQ(a.machine, b.machine) << i;
     EXPECT_EQ(a.task_index, b.task_index) << i;
   }
-  // The shortcuts must save probes, not merely match output.
-  EXPECT_LT(opt_ctx.probe_count(), naive_ctx.probe_count());
+  // Sticky rejection skips re-evaluating E's cells; F's re-probe reaches
+  // the context on both paths. Sparing it is the simulator's probe slots'
+  // job (EquivalenceCounters.ColumnInvalidationReprobesFromSlot), which
+  // the FakeContext does not model.
+  EXPECT_EQ(opt_ctx.probe_count(), naive_ctx.probe_count());
   EXPECT_GT(opt.perf().sticky_rejects, 0);
-  EXPECT_GT(opt.perf().probe_reuses, 0);
   EXPECT_EQ(naive.perf().sticky_rejects, 0);
-  EXPECT_EQ(naive.perf().probe_reuses, 0);
   // Both paths score the same cells — the eps normalizer inputs agree.
   EXPECT_EQ(naive.perf().score_evals, opt.perf().score_evals);
 }
@@ -749,11 +749,12 @@ TEST(TetrisHotPath, FitIndexSkipsGroupsNoMachineCanHold) {
   TetrisScheduler opt(hot_path_config(false));
   opt.schedule(ctx);
 
-  // Only the schedulable group's tasks land, and the unfittable group's
-  // whole row is skipped every round without a single probe.
+  // Only the schedulable group's tasks land. The unfittable group's cells
+  // cheap-reject without a probe, and after a placement re-touches them
+  // they answer from the sticky bit.
   EXPECT_EQ(ctx.placements.size(), 2u);
   for (const auto& p : ctx.placements) EXPECT_EQ(p.group.job, 1);
-  EXPECT_GT(opt.perf().fit_index_skips, 0);
+  EXPECT_GT(opt.perf().sticky_rejects, 0);
 
   test::FakeContext naive_two({cap, cap});
   naive_two.add_group(0, 0, 2, cpu_mem(16, 4));
@@ -761,9 +762,8 @@ TEST(TetrisHotPath, FitIndexSkipsGroupsNoMachineCanHold) {
   TetrisScheduler naive(hot_path_config(true));
   naive.schedule(naive_two);
   EXPECT_EQ(naive_two.placements.size(), 2u);
-  EXPECT_EQ(naive.perf().fit_index_skips, 0);
   // The unfittable row cheap-rejects before probing on both paths, so
-  // probe counts agree here; the index saves the per-cell scan itself.
+  // probe counts agree.
   EXPECT_EQ(naive_two.probe_count(), ctx.probe_count());
 }
 
@@ -776,11 +776,10 @@ TEST(TetrisHotPath, FitIndexIgnoresDownMachines) {
   ctx.add_group(0, 0, 1, cpu_mem(4, 2));
   TetrisScheduler opt(hot_path_config(false));
   opt.schedule(ctx);
-  // The down machine's (full) capacity must not inflate the index: with
-  // only machine 1's availability in it, the group is skipped outright.
+  // The down machine's (full) capacity must not admit the group, and
+  // machine 1 cheap-rejects it: nothing is placed or probed.
   EXPECT_TRUE(ctx.placements.empty());
   EXPECT_EQ(ctx.probe_count(), 0);
-  EXPECT_GT(opt.perf().fit_index_skips, 0);
 }
 
 // The optimized scan scores a round in tier-descending waves, so a tier-1

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/tetris_scheduler.h"
 #include "sim/config.h"
 #include "sim/simulator.h"
 #include "util/units.h"
+#include "workload/trace_binary.h"
 
 namespace tetris::sim {
 namespace {
@@ -144,6 +148,70 @@ TEST(SpecValidate, RejectsNegativeSplitBytes) {
   split.bytes = -1;
   job.stages[0].tasks[0].inputs.push_back(split);
   EXPECT_NE(validate(job), "");
+}
+
+// Every numeric JobSpec field against NaN and both infinities. Checks
+// written `x < 0` let all three through a NaN: a NaN peak_mem task was
+// never placed (the run heartbeated to max_time), a NaN arrival job
+// "completed" with a NaN arrival, and a +inf peak_mem task ran because
+// its probe clamped the demand to capacity. Every value must be rejected.
+TEST(SpecValidate, RejectsNaNAndInfiniteNumbers) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Field {
+    const char* name;
+    void (*set)(JobSpec&, double);
+  };
+  const Field fields[] = {
+      {"arrival", [](JobSpec& j, double v) { j.arrival = v; }},
+      {"cpu_cycles",
+       [](JobSpec& j, double v) { j.stages[0].tasks[0].cpu_cycles = v; }},
+      {"output_bytes",
+       [](JobSpec& j, double v) { j.stages[0].tasks[0].output_bytes = v; }},
+      {"peak_cores",
+       [](JobSpec& j, double v) { j.stages[0].tasks[0].peak_cores = v; }},
+      {"peak_mem",
+       [](JobSpec& j, double v) { j.stages[0].tasks[0].peak_mem = v; }},
+      {"max_io_bw",
+       [](JobSpec& j, double v) { j.stages[0].tasks[0].max_io_bw = v; }},
+      {"split.bytes",
+       [](JobSpec& j, double v) { j.stages[1].tasks[0].inputs[0].bytes = v; }},
+  };
+  for (const Field& f : fields) {
+    for (const double v : {kNaN, kInf, -kInf}) {
+      JobSpec job = two_stage_job();
+      f.set(job, v);
+      EXPECT_NE(validate(job), "") << f.name << " = " << v;
+    }
+  }
+}
+
+// The binary trace reader passes raw doubles through, so a NaN field in a
+// trace file must stop the streaming run at admission; the same trace
+// without it runs.
+TEST(SpecValidate, StreamedNaNFieldThrows) {
+  const std::string path = ::testing::TempDir() + "spec_nan_field.bin";
+  for (const bool nan : {false, true}) {
+    {
+      workload::BinaryTraceWriter writer(path);
+      JobSpec job = two_stage_job();
+      if (nan)
+        job.stages[0].tasks[0].peak_mem =
+            std::numeric_limits<double>::quiet_NaN();
+      writer.add(job);
+    }
+    SimConfig cfg;
+    cfg.num_machines = 2;
+    cfg.max_time = 3600;
+    workload::BinaryTraceReader reader(path);
+    core::TetrisScheduler sched((core::TetrisConfig()));
+    if (nan) {
+      EXPECT_THROW(simulate_stream(cfg, reader, sched), std::invalid_argument);
+    } else {
+      EXPECT_TRUE(simulate_stream(cfg, reader, sched).completed);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SpecValidate, WorkloadAggregatesJobErrors) {

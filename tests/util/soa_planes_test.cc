@@ -2,11 +2,12 @@
 // `std::vector<Resources>` must track it bit for bit through arbitrary
 // mutation sequences — the same ops the scheduler context applies on
 // placement commit (sub_max_zero) and preemption refund (add_cwise_min) —
-// and the zero padding past the last real lane must never be disturbed.
+// and each plane must hold exactly `lanes()` doubles, packed back to back.
 #include "util/soa_planes.h"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -23,27 +24,34 @@ Resources random_resources(std::mt19937_64& rng, double lo, double hi) {
   return r;
 }
 
-void expect_padding_zero(const ResourcePlanes& p) {
-  for (std::size_t r = 0; r < kNumResources; ++r) {
-    for (std::size_t l = p.lanes(); l < p.padded_lanes(); ++l) {
-      EXPECT_EQ(p.plane(r)[l], 0.0) << "plane " << r << " pad lane " << l;
-    }
+// Planes are packed: plane r + 1 starts right after the lanes() doubles
+// of plane r, so no lane is padding.
+void expect_packed(const ResourcePlanes& p) {
+  for (std::size_t r = 0; r + 1 < kNumResources; ++r) {
+    EXPECT_EQ(p.plane(r + 1) - p.plane(r),
+              static_cast<std::ptrdiff_t>(p.lanes()))
+        << "plane " << r;
   }
 }
 
-TEST(ResourcePlanesTest, ResetRoundsUpToPadAndZeroes) {
-  for (const std::size_t lanes : {0u, 1u, 7u, 8u, 9u, 13u, 64u}) {
+TEST(ResourcePlanesTest, ResetAllocatesExactLanesAndZeroes) {
+  for (const std::size_t lanes : {1u, 7u, 8u, 9u, 13u, 64u}) {
     ResourcePlanes p(lanes);
     EXPECT_EQ(p.lanes(), lanes);
-    EXPECT_GE(p.padded_lanes(), std::max<std::size_t>(
-                                    lanes, ResourcePlanes::kLanePad));
-    EXPECT_EQ(p.padded_lanes() % ResourcePlanes::kLanePad, 0u);
+    expect_packed(p);
     for (std::size_t r = 0; r < kNumResources; ++r)
-      for (std::size_t l = 0; l < p.padded_lanes(); ++l)
-        EXPECT_EQ(p.plane(r)[l], 0.0);
+      for (std::size_t l = 0; l < lanes; ++l) EXPECT_EQ(p.plane(r)[l], 0.0);
     for (std::size_t l = 0; l < lanes; ++l)
       EXPECT_EQ(p.gather(l), Resources());
   }
+  // Resetting a used set to fewer lanes shrinks it and zeroes every lane.
+  ResourcePlanes p(13);
+  p.set(12, Resources::uniform(3.0));
+  p.reset(5);
+  EXPECT_EQ(p.lanes(), 5u);
+  expect_packed(p);
+  for (std::size_t l = 0; l < 5; ++l) EXPECT_EQ(p.gather(l), Resources());
+  EXPECT_EQ(ResourcePlanes(0).lanes(), 0u);
 }
 
 TEST(ResourcePlanesTest, SetGatherRoundTrips) {
@@ -55,14 +63,13 @@ TEST(ResourcePlanesTest, SetGatherRoundTrips) {
     p.set(l, want[l]);
   }
   for (std::size_t l = 0; l < 5; ++l) EXPECT_EQ(p.gather(l), want[l]);
-  expect_padding_zero(p);
+  expect_packed(p);
 }
 
 // The core property: a long randomized stream of set / sub_max_zero /
 // add_cwise_min against a scalar Resources model stays bit-identical lane
-// by lane, the planes stay identical_to a from-scratch rebuild of the
-// model, and the padding stays zero throughout. Lane counts straddle the
-// pad boundary on purpose.
+// by lane, and the planes stay identical_to a from-scratch rebuild of the
+// model.
 TEST(ResourcePlanesTest, RandomizedMutationsMatchScalarModelAndRebuild) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     for (const std::size_t lanes : {3u, 8u, 13u}) {
@@ -105,7 +112,6 @@ TEST(ResourcePlanesTest, RandomizedMutationsMatchScalarModelAndRebuild) {
       for (std::size_t l = 0; l < lanes; ++l)
         EXPECT_EQ(p.gather(l), model[l]);
       EXPECT_TRUE(p.identical_to(ResourcePlanes::rebuilt_from(model)));
-      expect_padding_zero(p);
     }
   }
 }

@@ -133,26 +133,6 @@ TEST(Histogram2D, RejectsZeroBins) {
   EXPECT_THROW(Histogram2D(3, 0), std::invalid_argument);
 }
 
-TEST(RunningStats, MatchesBatchComputation) {
-  const std::vector<double> xs = {2, 4, 4, 4, 5, 5, 7, 9};
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-  EXPECT_EQ(rs.count(), xs.size());
-  EXPECT_NEAR(rs.mean(), mean(xs), 1e-12);
-  EXPECT_NEAR(rs.stdev(), stdev(xs), 1e-12);
-  EXPECT_EQ(rs.max(), 9);
-}
-
-TEST(RunningStats, EmptyAndSingle) {
-  RunningStats rs;
-  EXPECT_EQ(rs.mean(), 0.0);
-  EXPECT_EQ(rs.variance(), 0.0);
-  rs.add(-3);
-  EXPECT_EQ(rs.mean(), -3);
-  EXPECT_EQ(rs.variance(), 0.0);
-  EXPECT_EQ(rs.max(), -3);
-}
-
 // Property sweep: percentile is monotone in p for random-ish data.
 class PercentileMonotoneTest : public ::testing::TestWithParam<int> {};
 
