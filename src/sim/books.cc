@@ -178,35 +178,77 @@ double Simulator::compute_speed(const TaskState& t) const {
 
 void Simulator::refresh_dirty() {
   if (dirty_list_.empty()) return;
-  // Collect the tasks touching any dirty machine.
+  // Re-predict each task on a dirty machine once: the epoch stamp marks a
+  // task visited in this call. The body writes only its own task and reads
+  // share state nothing here writes, so the visit order reaches no value;
+  // it can reach the schedule only through the order of tied finishes.
+  ++refresh_epoch_;
+  finishes_.clear();
+  for (MachineId m : dirty_list_) {
+    for (const auto& [uid, demand] : machines_[static_cast<std::size_t>(m)]
+                                         .demands()) {
+      TaskState& t = task_at(uid);
+      if (t.refresh_epoch == refresh_epoch_) continue;
+      t.refresh_epoch = refresh_epoch_;
+      if (t.status != TaskStatus::kRunning) continue;
+      update_progress(t);
+      const double new_speed = compute_speed(t);
+      const bool first_prediction = t.speed == 0 && t.progress == 0;
+      if (!first_prediction &&
+          std::abs(new_speed - t.speed) <= kSpeedEps * std::max(1.0, t.speed))
+        continue;
+      t.speed = new_speed;
+      t.generation++;
+      if (t.speed <= kSpeedEps) continue;  // stalled; re-predicted later
+      const double target = target_progress(t);
+      const double remaining =
+          std::max(0.0, target - t.progress + kProgressEps) *
+          t.placement.duration / t.speed;
+      finishes_.push_back(
+          {now_ + remaining, 0, Event::Type::kFinish, uid, t.generation});
+    }
+  }
+  // The call's events take consecutive seq numbers, and EventLater reads
+  // seq only between equal times: only the order of tied events shows.
+  if (finishes_.size() > 1) {
+    std::sort(finishes_.begin(), finishes_.end(),
+              [](const Event& x, const Event& y) { return x.time < y.time; });
+    if (std::adjacent_find(finishes_.begin(), finishes_.end(),
+                           [](const Event& x, const Event& y) {
+                             return x.time == y.time;
+                           }) != finishes_.end())
+      order_as_hash_set(finishes_);
+  }
+  for (const Event& e : finishes_) push(e);
+  for (MachineId m : dirty_list_) dirty_flags_[static_cast<std::size_t>(m)] = 0;
+  dirty_list_.clear();
+}
+
+void Simulator::order_as_hash_set(std::vector<Event>& events) const {
+  // Preserves the tie order the golden digests pin: the iteration order
+  // of a std::unordered_set<int> filled with every uid on the dirty
+  // machines, in dirty_list_ order and then each demand map's, as the
+  // refresh once did on every call. A re-pin would replace this helper
+  // with uid order (ROADMAP).
   std::unordered_set<int> affected;
   for (MachineId m : dirty_list_) {
     for (const auto& [uid, demand] : machines_[static_cast<std::size_t>(m)]
                                          .demands()) {
       affected.insert(uid);
     }
-    dirty_flags_[static_cast<std::size_t>(m)] = 0;
   }
-  dirty_list_.clear();
-
+  // Rank each event by its task's place in the set; push() overwrites seq.
+  std::sort(events.begin(), events.end(),
+            [](const Event& x, const Event& y) { return x.a < y.a; });
+  long rank = 0;
   for (int uid : affected) {
-    TaskState& t = task_at(uid);
-    if (t.status != TaskStatus::kRunning) continue;
-    update_progress(t);
-    const double new_speed = compute_speed(t);
-    const bool first_prediction = t.speed == 0 && t.progress == 0;
-    if (!first_prediction &&
-        std::abs(new_speed - t.speed) <= kSpeedEps * std::max(1.0, t.speed))
-      continue;
-    t.speed = new_speed;
-    t.generation++;
-    if (t.speed <= kSpeedEps) continue;  // stalled; re-predicted later
-    const double target = target_progress(t);
-    const double remaining =
-        std::max(0.0, target - t.progress + kProgressEps) *
-        t.placement.duration / t.speed;
-    push({now_ + remaining, 0, Event::Type::kFinish, uid, t.generation});
+    const auto it = std::lower_bound(
+        events.begin(), events.end(), uid,
+        [](const Event& e, int key) { return e.a < key; });
+    if (it != events.end() && it->a == uid) it->seq = rank++;
   }
+  std::sort(events.begin(), events.end(),
+            [](const Event& x, const Event& y) { return x.seq < y.seq; });
 }
 
 }  // namespace tetris::sim

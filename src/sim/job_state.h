@@ -78,6 +78,9 @@ struct TaskState {
   // Bumped whenever speed changes; finish events carry the generation they
   // were computed under and are dropped if stale (lazy deletion).
   long generation = 0;
+  // The refresh_dirty call that last visited the task (Simulator's
+  // refresh_epoch_), so a task on several dirty machines is visited once.
+  long refresh_epoch = 0;
   int attempts = 0;  // > 1 after failure-injected re-execution
   bool will_fail = false;
   double fail_at_progress = 1.0;

@@ -80,9 +80,13 @@ void Machine::recompute() {
   }
   thrashing_ = total_task_demand_[Resource::kMem] + external_usage_[Resource::kMem] >
                capacity_[Resource::kMem] * (1.0 + 1e-9);
+  uncontended_ = !thrashing_ && std::all_of(ratios_.begin(), ratios_.end(),
+                                            [](double r) { return r == 1.0; });
 }
 
 double Machine::grant_ratio(const Resources& demand) const {
+  // Exact: the min over ratios of 1.0 is 1.0, and max(1.0, 0) is 1.0.
+  if (uncontended_) return 1.0;
   double ratio = 1.0;
   for (Resource r : all_resources()) {
     if (r == Resource::kMem) continue;

@@ -81,6 +81,9 @@ class Machine {
   Resources external_usage_;
   std::array<double, kNumResources> ratios_;
   bool thrashing_ = false;
+  // Every share ratio is exactly 1.0 and memory is not thrashing, so
+  // grant_ratio is 1.0 for any demand. Kept by recompute().
+  bool uncontended_ = true;
   bool up_ = true;
 };
 

@@ -253,7 +253,12 @@ class Simulator {
   Resources tracker_available(MachineId m) const;
   // ---- rate recomputation ----
   void mark_dirty(MachineId m);
+  // Re-predicts the finish of every running task on a dirty machine and
+  // clears the dirty set (DESIGN.md §4, "Rate recompute").
   void refresh_dirty();
+  // Puts one refresh's finish events in the tie order the golden digests
+  // pin (books.cc); called only when two of them have the same time.
+  void order_as_hash_set(std::vector<Event>& events) const;
   void update_progress(TaskState& t);
   double compute_speed(const TaskState& t) const;
   double target_progress(const TaskState& t) const {
@@ -347,6 +352,10 @@ class Simulator {
 
   std::vector<char> dirty_flags_;
   std::vector<MachineId> dirty_list_;
+  // refresh_dirty's call count (TaskState::refresh_epoch stamps a task
+  // visited in the current call) and its reused event buffer.
+  long refresh_epoch_ = 0;
+  std::vector<Event> finishes_;
 
   // ---- scheduler-view state (DESIGN.md §8.3; naive_scheduler_view
   // bypasses it). Probes and group estimates are served from state each

@@ -17,7 +17,9 @@
 //
 // which prints a line ready to paste for every case whose digest moved.
 // The goldens were generated with g++ 12.2.0 (its libstdc++) and glibc
-// 2.36 on x86-64. Hash-table iteration order reaches the schedules, so
+// 2.36 on x86-64. Hash-table iteration order still reaches the schedules
+// in three places (DESIGN.md §4, "Rate recompute"): the order of tied
+// finish events, the tracker's ramp-up sum and the rack-uplink legs. So
 // another standard library may give other digests.
 #include <gtest/gtest.h>
 

@@ -169,6 +169,31 @@ TEST_F(MachineTest, IncastPenaltyOnNetworkIn) {
               1e-9);
 }
 
+TEST_F(MachineTest, SetCapacityReSharesDemand) {
+  // The rack-uplink path: an uplink's capacity shrinks under its running
+  // flows when a member fails and grows back when the member recovers.
+  Resources d;
+  d[Resource::kNetIn] = 100;
+  machine_.add_demand(1, d);
+  ASSERT_EQ(machine_.grant_ratio(d), 1.0);
+  Resources shrunk = cap_;
+  shrunk[Resource::kNetIn] = 50;
+  machine_.set_capacity(shrunk);
+  EXPECT_LT(machine_.grant_ratio(d), 1.0);
+  EXPECT_EQ(machine_.grant_ratio(d), machine_.share_ratio(Resource::kNetIn));
+  machine_.set_capacity(cap_);
+  EXPECT_EQ(machine_.grant_ratio(d), 1.0);
+
+  // The same round trip through external usage: 200 MB/s on 125.
+  Resources ext;
+  ext[Resource::kNetIn] = 100;
+  machine_.set_external_usage(ext);
+  EXPECT_LT(machine_.grant_ratio(d), 1.0);
+  EXPECT_EQ(machine_.grant_ratio(d), machine_.share_ratio(Resource::kNetIn));
+  machine_.set_external_usage(Resources{});
+  EXPECT_EQ(machine_.grant_ratio(d), 1.0);
+}
+
 TEST_F(MachineTest, NullInterferenceModelRejected) {
   EXPECT_THROW(Machine(1, cap_, nullptr), std::invalid_argument);
 }
