@@ -1,11 +1,11 @@
-// Vectorized fused fit-check + alignment kernel (DESIGN.md §12).
+// Vectorized alignment kernel (DESIGN.md §12).
 //
-// The hot loop of a scheduling pass evaluates, per <group, machine> cell:
-// a six-dimension admission predicate against the machine's availability,
-// then the alignment score — a dot product of capacity-normalized demand
-// and availability vectors — times the remote-access penalty. This
-// module evaluates a *block* of such cells at once, one cell per vector
-// lane, with branchless comparison masks for the admission predicate.
+// The hot loop of a scheduling pass scores, per admitted <group, machine>
+// cell, the alignment — a dot product of capacity-normalized demand and
+// availability vectors — times the remote-access penalty. This module
+// scores a *block* of such cells at once, one cell per vector lane.
+// Admission is the caller's: the scan runs the full scalar test on every
+// cell before the cell joins a block.
 //
 // Bit-identity contract: every lane performs exactly the scalar op
 // sequence of `Resources::normalized_by` + `alignment_score` +
@@ -38,12 +38,12 @@ int lane_width();
 // "avx2" or "scalar" — for logs and bench CSVs.
 std::string_view isa_name();
 
-// A block of gathered cells awaiting the fused evaluation, stored
-// structure-of-arrays: lane l of plane r holds cell l's value for
-// resource dimension r. Lanes at index >= n are never read by the
-// kernel (partial blocks take the scalar tail, which stops at n).
+// A block of gathered cells awaiting the kernel, stored structure-of-
+// arrays: lane l of plane r holds cell l's value for resource dimension
+// r. Lanes at index >= n are never read by the kernel (partial blocks
+// take the scalar tail, which stops at n).
 struct ScoreBlock {
-  static constexpr std::size_t kMaxLanes = 8;
+  static constexpr std::size_t kMaxLanes = 4;  // the widest branch, AVX2
   alignas(64) double demand[kNumResources][kMaxLanes];
   alignas(64) double avail[kNumResources][kMaxLanes];
   alignas(64) double cap[kNumResources][kMaxLanes];
@@ -53,22 +53,16 @@ struct ScoreBlock {
 
 struct ScoreOut {
   alignas(64) double score[ScoreBlock::kMaxLanes];
-  unsigned char fit[ScoreBlock::kMaxLanes];
 };
 
-// Fused admission + alignment over one block.
-//   fit[l]   = only_cpu_mem ? fits_cpu_mem(demand_l, avail_l)
-//                           : demand_l.fits_within(avail_l)
+// Alignment over one block:
 //   score[l] = alignment_score(kind, demand_l / cap_l, avail_l / cap_l)
 //              * (1 - remote_penalty * (1 - local_fraction_l))
-// (Remote-leg admission is per-source-machine and stays with the caller.)
-// Scores are computed for every lane, fitting or not; callers discard the
-// non-fitting ones exactly as the scalar path never computes them.
 // A full block of lane_width() cosine lanes takes the vector path and
 // bumps *simd_blocks once; every other lane (partial tail, non-cosine
 // kind, scalar build) goes through the reference scalar lane and bumps
 // *scalar_tail_evals.
-void score_block(AlignmentKind kind, double remote_penalty, bool only_cpu_mem,
+void score_block(AlignmentKind kind, double remote_penalty,
                  const ScoreBlock& in, ScoreOut* out, long* simd_blocks,
                  long* scalar_tail_evals);
 

@@ -1,7 +1,6 @@
 #include "core/tetris_scheduler.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -90,16 +89,12 @@ struct TetrisScheduler::Pass {
     double eta;
     int tasks;  // claim budget: a stage can use at most this many machines
   };
-  // A cell of a wave's worklists, with its row's SRTF remaining-work term.
-  struct WaveCell {
+  // A cell of a round's worklists, with its row's SRTF remaining-work
+  // term.
+  struct RoundCell {
     std::size_t g;
     int m;
     double rem;
-  };
-  // One scored cell: |alignment| destined for the eps normalizer.
-  struct ScoreRecord {
-    std::size_t g;
-    double abs_a;
   };
 
   Pass(sim::SchedulerContext& c, bool n) : ctx(c), naive(n) {}
@@ -141,7 +136,6 @@ struct TetrisScheduler::Pass {
   int reserved_machine = -1;
   std::vector<int> tier_by_row;
   std::vector<std::uint32_t> row_job;
-  std::array<std::vector<std::size_t>, 3> tier_rows;
 
   // Count of fresh-and-rejected cells per row. When it reaches
   // num_machines a scan of the row would do nothing at all, so the
@@ -159,12 +153,11 @@ struct TetrisScheduler::Pass {
   std::vector<ImminentDemand> imminent;
   Claims claims;
 
-  // The current round: frozen eps, wave worklists, the scored cells'
-  // eps records and the winner.
+  // The current round: frozen eps, the optimized scan's worklists and
+  // the winner.
   double round_eps = 0;
-  std::vector<WaveCell> pending;  // admitted cells awaiting the kernel
-  std::vector<WaveCell> visit;    // potentially live cells for Phase C
-  std::vector<ScoreRecord> records;
+  std::vector<RoundCell> pending;  // admitted cells awaiting the kernel
+  std::vector<RoundCell> visit;    // live cells for Phase C
   std::ptrdiff_t best_ci = -1;  // index into cell_slots_, -1 = none
   std::size_t best_g = 0;
   double best_score = 0;
@@ -503,40 +496,8 @@ bool TetrisScheduler::scan_round(Pass& p) {
   p.best_tier = -1;
   if (p.naive) {
     scan_naive(p);
-    return p.best_ci >= 0;
-  }
-
-  // The optimized scan runs in tier-descending waves (DESIGN.md §12.4).
-  // The naive scan's running best_tier skips a row exactly when a
-  // candidate-producing row of a strictly higher tier precedes it, so
-  // each wave scans its tier's rows up to `cutoff` — the first
-  // candidate-producing row of any higher wave — and the scanned set
-  // (hence every refresh, score and eps contribution) matches the naive
-  // scan exactly. One O(G) sweep buckets the runnable rows by cached tier;
-  // a wave can zero `runnable` only for rows of its own tier, so checking
-  // it once per round is exact.
-  p.records.clear();
-  for (auto& rows : p.tier_rows) rows.clear();
-  for (std::size_t g = 0; g < p.groups.size(); ++g) {
-    if (p.groups[g].runnable <= 0) continue;
-    p.tier_rows[static_cast<std::size_t>(p.tier_by_row[g])].push_back(g);
-  }
-  std::size_t cutoff = p.groups.size();
-  for (int tier = 2; tier >= 0; --tier) scan_wave(p, tier, &cutoff);
-
-  // Ordered replay of the eps-normalizer accumulation: the naive scan adds
-  // |a| in row-major order, but the waves scored tier-2 and tier-1 rows
-  // before tier-0 rows. Columns are already ascending within a row and
-  // rows of different waves are disjoint, so a stable sort by row restores
-  // the exact naive addition order — FP addition is not associative, and
-  // eps feeds every later round's scores.
-  std::stable_sort(p.records.begin(), p.records.end(),
-                   [](const Pass::ScoreRecord& a, const Pass::ScoreRecord& b) {
-                     return a.g < b.g;
-                   });
-  for (const auto& r : p.records) {
-    alignment_sum_ += r.abs_a;
-    alignment_count_++;
+  } else {
+    scan_batched(p);
   }
   return p.best_ci >= 0;
 }
@@ -617,13 +578,13 @@ void TetrisScheduler::refresh_cell_naive(Pass& p, std::size_t g, int m) {
   cell_rejected_[ci] = 0;
 }
 
-// One wave of the optimized scan: the rows of `tier` before `*cutoff`,
-// in three phases. Phase A walks the wave's cells in scan order and does
-// everything before the score; Phase B scores the admitted cells through
-// the kernel; Phase C picks the wave's best over the known alignments.
-// Within a pass availability only falls (place() subtracts; preemption
-// runs after the last round), which licenses Phase A's shortcuts
-// (DESIGN.md §8.2):
+// The optimized scan: one row-major pass per round, in three phases.
+// Phase A walks the cells in the naive scan's order and does everything
+// before the score; Phase B scores the admitted cells through the kernel;
+// Phase C picks the round's best over the known alignments by the naive
+// rule. Within a pass availability only falls (place() subtracts;
+// preemption runs after the last round), which licenses Phase A's
+// shortcuts (DESIGN.md §8.2):
 //   * sticky rejection: a cell rejected for fit reasons stays rejected
 //     under lower availability, so a column invalidation need not
 //     re-evaluate it;
@@ -633,9 +594,8 @@ void TetrisScheduler::refresh_cell_naive(Pass& p, std::size_t g, int m) {
 // with it every placement — matches the naive scan bit for bit. A stale
 // cell that passes the cheap reject is re-probed; when only its column
 // moved, the stage's probe slot replays the probe (DESIGN.md §8.3).
-void TetrisScheduler::scan_wave(Pass& p, int tier, std::size_t* cutoff) {
+void TetrisScheduler::scan_batched(Pass& p) {
   const int num_machines = p.num_machines;
-  const int reserved = tier < 2 ? p.reserved_machine : -1;
 
   // Phase A's half of a refresh: everything the naive refresh does up to
   // the score itself — the sticky shortcut, rejected-until-proven marking,
@@ -673,27 +633,39 @@ void TetrisScheduler::scan_wave(Pass& p, int tier, std::size_t* cutoff) {
     return admits(config_, p.ctx, c.probe);
   };
 
-  // Phase A: the wave's rows in order, through the naive scan's row
-  // filters and the whole-row skip (each reads only state this wave has
-  // not yet touched). Each stale cell is refreshed up to its score; a
+  // Phase A: the rows in order, through the naive scan's row filters and
+  // the whole-row skip. Each stale cell is refreshed up to its score; a
   // cell that passes full admission joins the pending list, and every
-  // potentially live cell joins the visit list — both in scan order.
-  // Stale cells count as rejected until Phase B scores them.
+  // live cell joins the visit list — both in scan order. Stale cells
+  // count as rejected until Phase B scores them.
+  //
+  // The naive scan skips a row whose tier is below that of a candidate
+  // it has already found. Hold-back applies only to tier 0, so a row of
+  // tier >= 1 yields a candidate exactly when it has a live cell (fresh
+  // and not rejected, or admitted and awaiting its score); a tier-0
+  // candidate skips nothing, as no tier is below 0. `live_tier`, the
+  // highest tier of a scanned row with a live cell, therefore gives the
+  // naive skip set row for row before any score is known.
   p.pending.clear();
   p.visit.clear();
-  for (const std::size_t g : p.tier_rows[static_cast<std::size_t>(tier)]) {
-    if (g >= *cutoff) break;  // rows are ascending
+  int live_tier = 0;
+  for (std::size_t g = 0; g < p.groups.size(); ++g) {
+    if (p.groups[g].runnable <= 0) continue;
+    const int tier = p.tier_by_row[g];
     // Priority tiers bypass the fairness restriction (§3.5).
     if (tier == 0 && !p.eligible_job[p.row_job[g]]) continue;
+    if (tier < live_tier) continue;
     if (p.row_rejected[g] == num_machines) {
       p.pc.row_skips += num_machines;
       continue;
     }
     const double rem =
         config_.srtf_weight > 0 ? p.jobs[p.row_job[g]].remaining_work : 0.0;
+    // A reserved machine only accepts the starved tier.
+    const int reserved = tier < 2 ? p.reserved_machine : -1;
     const std::size_t row = p.cidx(g, 0);
+    const std::size_t visited = p.visit.size();
     for (int m = 0; m < num_machines; ++m) {
-      // A reserved machine only accepts the starved tier.
       if (m == reserved) continue;
       const std::size_t ci = row + static_cast<std::size_t>(m);
       if (!cell_fresh_[ci]) {
@@ -706,22 +678,22 @@ void TetrisScheduler::scan_wave(Pass& p, int tier, std::size_t* cutoff) {
         p.visit.push_back({g, m, rem});
       }
     }
+    if (p.visit.size() > visited) live_tier = std::max(live_tier, tier);
   }
 
-  // Phase B: fused fit + alignment over the pending cells, lane_width()
-  // lanes per kernel call, in scan order. Every pending cell already
-  // passed the full scalar admission, so each lane scores exactly as the
-  // naive refresh would: same counter, same eps record, same cell
-  // writeback — and its provisional rejection is undone. The kernel's
-  // fused fit mask cannot fire on this input (lane-for-lane identity with
-  // the scalar predicates, unit-tested); it stays as a guard.
+  // Phase B: the pending cells' alignments, lane_width() lanes per kernel
+  // call, in scan order. Every pending cell already passed the full
+  // scalar admission, so each lane scores exactly as the naive refresh
+  // would: same counter, same cell writeback, and its |a| enters the eps
+  // normalizer in the naive (g, m) order. Its provisional rejection is
+  // undone.
   const auto width = static_cast<std::size_t>(simd::lane_width());
   simd::ScoreBlock block;
   simd::ScoreOut res;
   for (std::size_t i = 0; i < p.pending.size(); i += block.n) {
     block.n = std::min(width, p.pending.size() - i);
     for (std::size_t l = 0; l < block.n; ++l) {
-      const Pass::WaveCell& w = p.pending[i + l];
+      const Pass::RoundCell& w = p.pending[i + l];
       const auto mi = static_cast<std::size_t>(w.m);
       const CellSlot& c = cell_slots_[p.cidx(w.g, w.m)];
       for (std::size_t r = 0; r < kNumResources; ++r)
@@ -741,16 +713,15 @@ void TetrisScheduler::scan_wave(Pass& p, int tier, std::size_t* cutoff) {
       }
       block.local_fraction[l] = c.probe.local_fraction;
     }
-    simd::score_block(config_.alignment, config_.remote_penalty,
-                      config_.only_cpu_mem, block, &res, &p.pc.simd_blocks,
-                      &p.pc.scalar_tail_evals);
+    simd::score_block(config_.alignment, config_.remote_penalty, block, &res,
+                      &p.pc.simd_blocks, &p.pc.scalar_tail_evals);
     for (std::size_t l = 0; l < block.n; ++l) {
-      if (!res.fit[l]) continue;
-      const Pass::WaveCell& w = p.pending[i + l];
+      const Pass::RoundCell& w = p.pending[i + l];
       const std::size_t ci = p.cidx(w.g, w.m);
       const double a = res.score[l];
       p.pc.score_evals++;
-      p.records.push_back({w.g, std::abs(a)});
+      alignment_sum_ += std::abs(a);
+      alignment_count_++;
       cell_slots_[ci].alignment = a;
       cell_rejected_[ci] = 0;
       cell_sticky_[ci] = 0;
@@ -758,32 +729,25 @@ void TetrisScheduler::scan_wave(Pass& p, int tier, std::size_t* cutoff) {
     }
   }
 
-  // Phase C: candidate scan over the surviving cells, in scan order.
-  // Waves run highest tier first, so only the first wave that yields a
-  // candidate may set the round's winner; later waves still scan (their
-  // refreshes are part of the naive behaviour) and still move the
-  // cutoff. Strict > keeps the first candidate in row-major order on
-  // score ties, as the naive scan does.
-  const bool open = p.best_ci < 0;
-  std::size_t first_candidate_row = p.groups.size();
-  for (const Pass::WaveCell& v : p.visit) {
+  // Phase C: the naive candidate rule over the visit list, in scan order.
+  // A higher tier always wins; strict > keeps the first candidate in
+  // row-major order on score ties.
+  for (const Pass::RoundCell& v : p.visit) {
     const std::size_t ci = p.cidx(v.g, v.m);
-    if (cell_rejected_[ci]) continue;
     const CellSlot& c = cell_slots_[ci];
+    const int tier = p.tier_by_row[v.g];
     if (tier == 0 && !p.claims.empty() &&
         held_back(p.claims, v.m, c.alignment, c.probe.duration))
       continue;
-    if (first_candidate_row == p.groups.size()) first_candidate_row = v.g;
-    if (!open) continue;
     const double score = c.alignment - p.round_eps * v.rem;
-    if (p.best_ci < 0 || score > p.best_score) {
+    if (p.best_ci < 0 || tier > p.best_tier ||
+        (tier == p.best_tier && score > p.best_score)) {
       p.best_ci = static_cast<std::ptrdiff_t>(ci);
       p.best_g = v.g;
       p.best_score = score;
       p.best_tier = tier;
     }
   }
-  *cutoff = std::min(*cutoff, first_candidate_row);
 }
 
 void TetrisScheduler::commit(Pass& p) {

@@ -143,11 +143,13 @@ class TetrisScheduler final : public sim::Scheduler {
   void refresh_eligibility(Pass& p) const;
   void prepare_scan(Pass& p);
   // Scan round: picks the round's best <group, machine> cell into `p`;
-  // false when no candidate remains.
+  // false when no candidate remains. The oracle's round is scan_naive;
+  // the optimized round is scan_batched, one row-major pass that scores
+  // through the SIMD kernel (DESIGN.md §12.4).
   bool scan_round(Pass& p);
   void scan_naive(Pass& p);
   void refresh_cell_naive(Pass& p, std::size_t g, int m);
-  void scan_wave(Pass& p, int tier, std::size_t* cutoff);
+  void scan_batched(Pass& p);
   // Commit: place the round's winner and invalidate what it changed.
   void commit(Pass& p);
   // Preemption: at most one fairness kill after the last round.

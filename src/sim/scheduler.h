@@ -159,8 +159,8 @@ class SchedulerContext {
   // Placement-constraint admission filter (DESIGN.md §13), the companion
   // of machine_up: false when machine `m` cannot legally host a task of
   // `group` — label require/forbid clauses, within-job anti-affinity, or
-  // same-rack-as-input. Every scan path (naive oracle, optimized scalar,
-  // SIMD waves, baselines) must consult it *before* probing, exactly
+  // same-rack-as-input. Every scan path (naive oracle, optimized scan,
+  // baselines) must consult it *before* probing, exactly
   // where it checks machine_up: an inadmissible machine is a plain
   // rejection of the pair, never a drained group. Within one pass the
   // predicate can only flip admissible→inadmissible (placements add

@@ -782,13 +782,13 @@ TEST(TetrisHotPath, FitIndexIgnoresDownMachines) {
   EXPECT_EQ(ctx.probe_count(), 0);
 }
 
-// The optimized scan scores a round in tier-descending waves, so a tier-1
-// row's |a| values reach the eps normalizer before those of tier-0 rows
-// above it; the round-end replay must restore the naive row order. Here
-// the naive order adds 1, 2^-53, 2^-53, 2^-53 (sum 1, each tiny term
-// rounding away) while wave order adds 2^-53, 2^-53, 1, 2^-53 (sum
-// 1 + 2^-51). The second placement's SRTF term y = eps * p_hat reads that
-// sum, so it tells the two orders apart.
+// The eps normalizer adds |a| in the naive scan's (g, m) order, and FP
+// addition is not associative. A round that scores a tier-0 row before
+// the tier-1 row that wins it must still add the tier-0 row's terms
+// first. Here the naive order adds 1, 2^-53, 2^-53, 2^-53 (sum 1, each
+// tiny term rounding away) while a tier-first order would add 2^-53,
+// 2^-53, 1, 2^-53 (sum 1 + 2^-51). The second placement's SRTF term
+// y = eps * p_hat reads that sum, so it tells the two orders apart.
 TEST(TetrisHotPath, WavesReplayEpsInNaiveRowOrder) {
   const auto placements = [](bool naive) {
     constexpr double kTiny = 0x1p-53;
@@ -835,6 +835,61 @@ TEST(TetrisHotPath, WavesReplayEpsInNaiveRowOrder) {
     EXPECT_EQ(opt[i].d, oracle[i].d) << i;
     EXPECT_EQ(opt[i].x, oracle[i].x) << i;
     EXPECT_EQ(opt[i].y, oracle[i].y) << i;
+  }
+}
+
+// The naive scan skips a row whose tier is below that of a candidate it
+// has already found; the optimized scan decides the same skip before any
+// score, from the rows it has seen with a live cell (DESIGN.md §12.4).
+// Rows: tier 0, a tier-1 straggler (9 of 10 tasks done), tier 0. When the
+// straggler is admissible it wins round 1, and the naive scan leaves the
+// last row alone that round. When it fits nowhere it yields no candidate,
+// and the last row must be scanned. Scanning a row too many shows in
+// score_evals and probes; scanning one too few in score_evals and
+// placements.
+TEST(TetrisHotPath, LiveHigherTierRowSkipsLaterLowerRows) {
+  struct Outcome {
+    std::vector<sim::Probe> placements;
+    long probes = 0;
+    long score_evals = 0;
+  };
+  for (const bool straggler_fits : {true, false}) {
+    const auto run = [&](bool naive) {
+      const Resources cap = Resources::full(8, 8 * kGB, 100 * kMB, 100 * kMB,
+                                            125 * kMB, 125 * kMB);
+      test::FakeContext ctx({cap, cap});
+      ctx.add_group(0, 0, 2, cpu_mem(1, 1));
+      auto& straggler = ctx.add_group(
+          1, 0, 1, straggler_fits ? cpu_mem(2, 2) : cpu_mem(16, 1));
+      straggler.view.finished = 9;
+      straggler.view.total = 10;
+      ctx.add_group(2, 0, 2, cpu_mem(3, 1));
+      TetrisScheduler sched(hot_path_config(naive));
+      sched.schedule(ctx);
+      return Outcome{ctx.placements, ctx.probe_count(),
+                     sched.perf().score_evals};
+    };
+    const Outcome oracle = run(/*naive=*/true);
+    const Outcome opt = run(/*naive=*/false);
+    SCOPED_TRACE(straggler_fits ? "straggler admissible"
+                                : "straggler fits nowhere");
+    ASSERT_FALSE(oracle.placements.empty());
+    if (straggler_fits) {
+      EXPECT_EQ(oracle.placements[0].group.job, 1);
+    } else {
+      for (const auto& p : oracle.placements) EXPECT_NE(p.group.job, 1);
+    }
+    ASSERT_EQ(opt.placements.size(), oracle.placements.size());
+    for (std::size_t i = 0; i < opt.placements.size(); ++i) {
+      EXPECT_EQ(opt.placements[i].group.job, oracle.placements[i].group.job)
+          << i;
+      EXPECT_EQ(opt.placements[i].machine, oracle.placements[i].machine) << i;
+      EXPECT_EQ(opt.placements[i].task_index,
+                oracle.placements[i].task_index)
+          << i;
+    }
+    EXPECT_EQ(opt.score_evals, oracle.score_evals);
+    EXPECT_LE(opt.probes, oracle.probes);
   }
 }
 

@@ -286,7 +286,7 @@ INSTANTIATE_TEST_SUITE_P(
                return t;
              }()},
         // Placement constraints (DESIGN.md §13): the admission predicate
-        // must filter identically in the optimized waves and the naive
+        // must filter identically in the optimized scan and the naive
         // oracle — constrained schedules stay bit-identical across the
         // whole variant grid.
         Case{"ConstrainedSuite", Load::kConstrained, 1, false,

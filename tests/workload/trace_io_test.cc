@@ -67,7 +67,8 @@ TEST(TraceIo, IgnoresCommentsAndBlankLines) {
       "job 5 -1 0 myjob\n"
       "# another\n"
       "stage map\n"
-      "task 10 1 1073741824 0 104857600 0\n";
+      "task 10 1 1073741824 0 104857600 0\n"
+      "end 1 1\n";
   const auto w = trace_from_string(text);
   ASSERT_EQ(w.jobs.size(), 1u);
   EXPECT_EQ(w.jobs[0].name, "myjob");
@@ -82,7 +83,8 @@ TEST(TraceIo, ParsesSplitsWithReplicasAndShuffles) {
       "split 1000 -1 2 4 6\n"
       "stage reduce 0\n"
       "task 0 1 1073741824 0 104857600 1\n"
-      "split 500 0\n";
+      "split 500 0\n"
+      "end 1 2\n";
   const auto w = trace_from_string(text);
   const auto& map_split = w.jobs[0].stages[0].tasks[0].inputs[0];
   EXPECT_EQ(map_split.replicas, (std::vector<sim::MachineId>{2, 4, 6}));
@@ -108,9 +110,9 @@ TEST(TraceIo, RejectsUnexpectedSplit) {
 }
 
 TEST(TraceIo, RejectsMissingSplits) {
-  // Task declares 2 splits but only 1 follows.
+  // Task declares 2 splits but only 1 follows before the end record.
   const std::string text =
-      "job 0 -1 0 j\nstage s\ntask 1 1 1 0 1 2\nsplit 1 -1\n";
+      "job 0 -1 0 j\nstage s\ntask 1 1 1 0 1 2\nsplit 1 -1\nend 1 1\n";
   EXPECT_THROW(trace_from_string(text), std::runtime_error);
 }
 
@@ -121,13 +123,74 @@ TEST(TraceIo, RejectsUnknownRecord) {
 TEST(TraceIo, RejectsMalformedNumbers) {
   EXPECT_THROW(trace_from_string("job abc -1 0 j\nstage s\n"),
                std::runtime_error);
+  // A number must fill its field: a fractional dep is not dep 0, and a
+  // split count with trailing junk is not a count.
+  EXPECT_THROW(trace_from_string("job 0 -1 0 j\nstage a\ntask 1 1 1 0 1 0\n"
+                                 "stage b 0.5\ntask 1 1 1 0 1 0\nend 1 2\n"),
+               std::runtime_error);
+  EXPECT_THROW(
+      trace_from_string("job 0 -1 0 j\nstage s\ntask 1 1 1 0 1 0x\nend 1 1\n"),
+      std::runtime_error);
 }
 
 TEST(TraceIo, RejectsSemanticErrors) {
   // Parses fine but stage deps are out of range.
   const std::string text =
-      "job 0 -1 0 j\nstage s 7\ntask 1 1 1 0 1 0\n";
-  EXPECT_THROW(trace_from_string(text), std::runtime_error);
+      "job 0 -1 0 j\nstage s 7\ntask 1 1 1 0 1 0\nend 1 1\n";
+  try {
+    trace_from_string(text);
+    FAIL() << "out-of-range dep accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("trace semantic error"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The end record must close the trace, after every split, with the
+// counts that were read.
+TEST(TraceIo, RejectsMisplacedEndRecord) {
+  const std::string body = "job 0 -1 0 j\nstage s\ntask 1 1 1 0 1 1\n";
+  EXPECT_NO_THROW(trace_from_string(body + "split 1 -1\nend 1 1\n"));
+  // Before the task's split.
+  EXPECT_THROW(trace_from_string(body + "end 1 1\nsplit 1 -1\n"),
+               std::runtime_error);
+  // Counts that differ from what was read.
+  EXPECT_THROW(trace_from_string(body + "split 1 -1\nend 1 2\n"),
+               std::runtime_error);
+  EXPECT_THROW(trace_from_string(body + "split 1 -1\nend 2 1\n"),
+               std::runtime_error);
+  // Any record after it.
+  EXPECT_THROW(trace_from_string(body + "split 1 -1\nend 1 1\nend 1 1\n"),
+               std::runtime_error);
+  EXPECT_THROW(
+      trace_from_string(body + "split 1 -1\nend 1 1\njob 0 -1 0 k\n"),
+      std::runtime_error);
+}
+
+// A written trace cut short anywhere (between records, mid-line or
+// mid-number) must fail to parse; only the whole text reads back, and it
+// writes out again byte for byte.
+TEST(TraceIo, RejectsEveryTruncatedPrefix) {
+  SuiteConfig cfg;
+  cfg.num_jobs = 6;
+  cfg.num_machines = 10;
+  cfg.task_scale = 0.05;
+  cfg.seed = 3;
+  const std::string text = trace_to_string(make_suite_workload(cfg));
+  const sim::Workload whole = trace_from_string(text);
+  EXPECT_EQ(whole.total_tasks(), 219u);
+  EXPECT_EQ(trace_to_string(whole), text);
+  std::size_t accepted = 0;
+  for (std::size_t n = 0; n < text.size(); ++n) {
+    try {
+      trace_from_string(text.substr(0, n));
+      ADD_FAILURE() << "prefix of " << n << " of " << text.size()
+                    << " characters parsed";
+      if (++accepted == 5) break;
+    } catch (const std::runtime_error&) {
+    }
+  }
 }
 
 TEST(TraceIo, FileRoundTrip) {
