@@ -14,7 +14,6 @@
 #include "sched/fairness.h"
 #include "trace/event.h"
 #include "trace/recorder.h"
-#include "util/soa_planes.h"
 
 namespace tetris::core {
 
@@ -143,11 +142,6 @@ struct TetrisScheduler::Pass {
   // rows sit in this state, turning the per-round cost from
   // O(groups * machines) into O(groups).
   std::vector<int> row_rejected;
-  // SoA views over availability and capacity; null for contexts that do
-  // not maintain them, in which case flushes gather per machine through
-  // the virtuals — same values, just slower.
-  const util::ResourcePlanes* avail_planes = nullptr;
-  const util::ResourcePlanes* cap_planes = nullptr;
   // Future-demand hold-back: stages about to unblock, and the claims
   // they hold this round.
   std::vector<ImminentDemand> imminent;
@@ -441,10 +435,6 @@ void TetrisScheduler::prepare_scan(Pass& p) {
         p.imminent.push_back({g.ref, g.est_demand, g.eta, g.total});
     }
   }
-
-  if (p.naive) return;
-  p.avail_planes = p.ctx.availability_planes();
-  p.cap_planes = p.ctx.capacity_planes();
 }
 
 bool TetrisScheduler::scan_round(Pass& p) {
@@ -694,22 +684,13 @@ void TetrisScheduler::scan_batched(Pass& p) {
     block.n = std::min(width, p.pending.size() - i);
     for (std::size_t l = 0; l < block.n; ++l) {
       const Pass::RoundCell& w = p.pending[i + l];
-      const auto mi = static_cast<std::size_t>(w.m);
       const CellSlot& c = cell_slots_[p.cidx(w.g, w.m)];
-      for (std::size_t r = 0; r < kNumResources; ++r)
+      const Resources avail = p.ctx.available(w.m);
+      const Resources& cap = p.ctx.capacity(w.m);
+      for (std::size_t r = 0; r < kNumResources; ++r) {
         block.demand[r][l] = c.probe.demand.at(r);
-      if (p.avail_planes != nullptr && p.cap_planes != nullptr) {
-        for (std::size_t r = 0; r < kNumResources; ++r) {
-          block.avail[r][l] = p.avail_planes->plane(r)[mi];
-          block.cap[r][l] = p.cap_planes->plane(r)[mi];
-        }
-      } else {
-        const Resources av = p.ctx.available(w.m);
-        const Resources cp = p.ctx.capacity(w.m);
-        for (std::size_t r = 0; r < kNumResources; ++r) {
-          block.avail[r][l] = av.at(r);
-          block.cap[r][l] = cp.at(r);
-        }
+        block.avail[r][l] = avail.at(r);
+        block.cap[r][l] = cap.at(r);
       }
       block.local_fraction[l] = c.probe.local_fraction;
     }

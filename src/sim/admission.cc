@@ -52,7 +52,6 @@ JobState& Simulator::append_job(const JobSpec& spec) {
   job.template_id = spec.template_id;
   job.queue = spec.queue;
   job.arrival = spec.arrival;
-  job.uid_base = next_uid_;
   job.stages.reserve(spec.stages.size());
   bool any_anti_affinity = false;
   for (std::size_t s = 0; s < spec.stages.size(); ++s) {
@@ -476,7 +475,6 @@ void Simulator::complete_task(int uid, bool failed,
   }
 
   task.status = TaskStatus::kFinished;
-  task.finish_time = now_;
   task.generation++;
   stage.finished++;
   job.finished_tasks++;

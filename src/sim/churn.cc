@@ -36,10 +36,8 @@ void Simulator::update_rack_uplink(MachineId member) {
   const int k = config_.machines_per_rack;
   if (k <= 0) return;
   const int rack = member / k;
-  const Resources uplink = rack_uplink(rack);
   const auto u = static_cast<std::size_t>(num_real_machines_ + rack);
-  machines_[u].set_capacity(uplink);
-  cap_planes_.set(u, uplink);  // keep the SoA capacity mirror coherent
+  machines_[u].set_capacity(rack_uplink(rack));
   mark_dirty(static_cast<MachineId>(u));
 }
 

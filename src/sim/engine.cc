@@ -136,13 +136,6 @@ void Simulator::init_cluster() {
   hosted_count_.assign(machines_.size(), 0);
   dirty_flags_.assign(machines_.size(), 0);
 
-  // SoA mirror of machines_[*].capacity() (DESIGN.md §12). Real machine
-  // capacities never change; uplink lanes are refreshed by
-  // update_rack_uplink on churn, the only set_capacity site.
-  cap_planes_.reset(machines_.size());
-  for (std::size_t m = 0; m < machines_.size(); ++m)
-    cap_planes_.set(m, machines_[m].capacity());
-
   down_depth_.assign(static_cast<std::size_t>(num_real_machines_), 0);
   external_active_.assign(static_cast<std::size_t>(num_real_machines_),
                           Resources{});

@@ -67,7 +67,6 @@ struct TaskState {
   SimTime runnable_since = -1;
   MachineId host = -1;
   SimTime start_time = -1;
-  SimTime finish_time = -1;
   // Demands registered on machines while running.
   PlacementDemand placement;
   // Progress in [0,1] of the task's natural duration; advances at `speed`
@@ -153,8 +152,6 @@ struct JobState {
   // true for a shell, so iteration skips it exactly like a finished job.
   bool retired = false;
   std::vector<StageState> stages;
-  // First task uid of this job; uids are contiguous per job in id order.
-  int uid_base = 0;
   int total_tasks = 0;
   int finished_tasks = 0;
   int running_tasks = 0;

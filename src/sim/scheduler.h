@@ -18,12 +18,15 @@
 #include "sim/spec.h"
 #include "util/perf_counters.h"
 #include "util/resources.h"
-#include "util/soa_planes.h"
 #include "util/units.h"
 
 namespace tetris::trace {
 class Recorder;
 }  // namespace tetris::trace
+
+namespace tetris::util {
+class ResourcePlanes;
+}  // namespace tetris::util
 
 namespace tetris::sim {
 
@@ -41,14 +44,8 @@ struct GroupRef {
 struct GroupView {
   GroupRef ref;
   int runnable = 0;
-  int running = 0;
   int finished = 0;
   int total = 0;
-  // True iff some other stage of the job consumes this stage's output
-  // (i.e. a strict barrier follows it). The end of a job also acts as a
-  // barrier (§3.5), so Tetris's barrier hint treats every stage as
-  // barrier-preceding; this flag lets variants distinguish.
-  bool has_dependents = false;
   // Representative estimated demand of one task, assuming local reads
   // (placement-independent view; probe() refines per machine).
   Resources est_demand;
@@ -69,11 +66,7 @@ struct GroupView {
 struct JobView {
   JobId id = -1;
   SimTime arrival = 0;
-  int template_id = -1;
   int queue = 0;
-  int total_tasks = 0;
-  int finished_tasks = 0;
-  int running_tasks = 0;
   int runnable_tasks = 0;
   // Sum of demand vectors currently allocated to the job's running tasks.
   Resources current_alloc;
@@ -94,7 +87,6 @@ struct Probe {
   std::vector<RemoteLeg> remote;   // estimated demands at remote sources
   double duration = 0;             // estimated
   double local_fraction = 1.0;     // fraction of input read locally
-  double task_work = 0;            // this task's estimated resource use
 };
 
 // A task currently running, as visible to schedulers that preempt.
@@ -133,15 +125,9 @@ class SchedulerContext {
   virtual Resources available(MachineId m) const = 0;
   virtual int running_tasks_on(MachineId m) const = 0;
 
-  // Structure-of-arrays views (DESIGN.md §12): one contiguous zero-padded
-  // lane array per resource dimension, lane = machine id, covering every
-  // id available()/capacity() accept (real machines first, rack uplinks
-  // after). A context that returns them guarantees coherence with
-  // available()/capacity() through every in-pass mutation — place() and
-  // preempt() update the planes as their source of truth — and across
-  // passes through churn, completions and tracker updates. Null by
-  // default: the SIMD scoring path then gathers per machine through the
-  // virtuals, which stays bit-identical, just slower.
+  // Always null, and no scheduler reads them (DESIGN.md §12.1). They
+  // stay only because perfbench's TimedContext overrides them, and go
+  // with perfbench's next change (ROADMAP).
   virtual const util::ResourcePlanes* availability_planes() const {
     return nullptr;
   }

@@ -30,7 +30,6 @@
 #include "trace/recorder.h"
 #include "util/perf_counters.h"
 #include "util/rng.h"
-#include "util/soa_planes.h"
 
 namespace tetris::sim {
 
@@ -307,9 +306,6 @@ class Simulator {
   InterferenceModel interference_;
   std::vector<Machine> machines_;  // real machines, then rack uplinks
   int num_real_machines_ = 0;
-  // SoA mirror of every machine's capacity (DESIGN.md §12), lane =
-  // machine id; kept coherent with set_capacity by update_rack_uplink.
-  util::ResourcePlanes cap_planes_;
   std::vector<Resources> alloc_est_;  // scheduler-visible allocations
   std::vector<int> hosted_count_;
   Resources cluster_capacity_;
@@ -407,11 +403,9 @@ class Simulator {
 // The scheduler-facing context of one pass (view.cc).
 class Simulator::ContextImpl final : public SchedulerContext {
  public:
-  // The pass's availability view lives in SoA planes (DESIGN.md §12):
-  // one lane per machine (real machines, then rack uplinks), built here
-  // from every machine's tracker report and mutated only by
-  // place()/preempt() below — so the planes stay coherent with
-  // available() by construction, through every placement commit.
+  // The pass's availability view: one entry per machine (real machines,
+  // then rack uplinks), built here from every machine's tracker report
+  // and mutated only by place()/preempt() below.
   explicit ContextImpl(Simulator& sim);
 
   SimTime now() const override { return sim_.now_; }
@@ -423,13 +417,7 @@ class Simulator::ContextImpl final : public SchedulerContext {
     return sim_.cluster_capacity_;
   }
   Resources available(MachineId m) const override {
-    return avail_.gather(static_cast<std::size_t>(m));
-  }
-  const util::ResourcePlanes* availability_planes() const override {
-    return &avail_;
-  }
-  const util::ResourcePlanes* capacity_planes() const override {
-    return &sim_.cap_planes_;
+    return avail_[static_cast<std::size_t>(m)];
   }
   int running_tasks_on(MachineId m) const override {
     return sim_.hosted_count_[static_cast<std::size_t>(m)];
@@ -465,7 +453,7 @@ class Simulator::ContextImpl final : public SchedulerContext {
                             GroupView& view) const;
 
   Simulator& sim_;
-  util::ResourcePlanes avail_;
+  std::vector<Resources> avail_;
 };
 
 }  // namespace tetris::sim

@@ -85,12 +85,13 @@ struct PlacementConstraint {
 // indices of stages in the same job that must fully finish first (strict
 // barrier, as in map -> reduce). `constraint` applies to every task of the
 // stage (tasks of a stage run the same computation, so they share
-// placement requirements).
+// placement requirements); its `= {}` keeps `{name, tasks, deps}`
+// brace-inits free of -Wmissing-field-initializers.
 struct StageSpec {
   std::string name;
   std::vector<TaskSpec> tasks;
   std::vector<int> deps;
-  PlacementConstraint constraint;
+  PlacementConstraint constraint = {};
 };
 
 // A job: a DAG of stages plus an arrival time. `template_id` identifies

@@ -15,9 +15,9 @@ namespace tetris::sim {
 
 Simulator::ContextImpl::ContextImpl(Simulator& sim) : sim_(sim) {
   const std::size_t n = sim_.machines_.size();
-  avail_.reset(n);
+  avail_.reserve(n);
   for (std::size_t m = 0; m < n; ++m)
-    avail_.set(m, sim_.tracker_available(static_cast<MachineId>(m)));
+    avail_.push_back(sim_.tracker_available(static_cast<MachineId>(m)));
   sim_.perf_.avail_recomputes += static_cast<long>(n);
 }
 
@@ -32,7 +32,6 @@ std::vector<GroupView> Simulator::ContextImpl::runnable_groups() const {
       GroupView v;
       v.ref = {job.id, s};
       v.runnable = stage.runnable;
-      v.running = stage.running;
       v.finished = stage.finished;
       v.total = stage.total();
       if (naive) {
@@ -48,17 +47,6 @@ std::vector<GroupView> Simulator::ContextImpl::runnable_groups() const {
       }
       fill_group_estimates(job, s, v);
       out.push_back(std::move(v));
-    }
-  }
-  // Flag stages that feed other stages.
-  for (auto& v : out) {
-    const auto& job = sim_.job_at(v.ref.job);
-    for (const auto& st : job.stages) {
-      if (std::find(st.deps.begin(), st.deps.end(), v.ref.stage) !=
-          st.deps.end()) {
-        v.has_dependents = true;
-        break;
-      }
     }
   }
   return out;
@@ -165,11 +153,7 @@ std::vector<JobView> Simulator::ContextImpl::active_jobs() const {
     JobView v;
     v.id = job.id;
     v.arrival = job.arrival;
-    v.template_id = job.template_id;
     v.queue = job.queue;
-    v.total_tasks = job.total_tasks;
-    v.finished_tasks = job.finished_tasks;
-    v.running_tasks = job.running_tasks;
     v.current_alloc = job.current_alloc;
     for (int s = 0; s < static_cast<int>(job.stages.size()); ++s) {
       const StageState& stage = job.stages[static_cast<std::size_t>(s)];
@@ -204,7 +188,6 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
   p.remote.clear();
   p.duration = 0;
   p.local_fraction = 1.0;
-  p.task_work = 0;
   // Down machines admit nothing; uplink ids are not placement targets.
   if (machine < 0 || machine >= sim_.num_real_machines_ ||
       !sim_.machine_is_up(machine))
@@ -294,13 +277,12 @@ bool Simulator::ContextImpl::place(const Probe& probe) {
   ++placements;
 
   // Keep this pass's availability view in sync with the commitment.
-  // sub_max_zero is per-lane `(avail - demand).max_zero()` — the same
-  // component ops in the same order the Resources expression performed.
-  avail_.sub_max_zero(static_cast<std::size_t>(probe.machine), probe.demand);
-  for (const auto& leg : probe.remote) {
-    avail_.sub_max_zero(static_cast<std::size_t>(leg.machine),
-                        leg_resources(leg));
-  }
+  const auto take = [&](MachineId m, const Resources& used) {
+    Resources& a = avail_[static_cast<std::size_t>(m)];
+    a = (a - used).max_zero();
+  };
+  take(probe.machine, probe.demand);
+  for (const auto& leg : probe.remote) take(leg.machine, leg_resources(leg));
   return true;
 }
 
@@ -335,16 +317,12 @@ bool Simulator::ContextImpl::preempt(int task_uid) {
   const auto est_remote = task.est_remote;
   const MachineId host = task.host;
   sim_.complete_task(task_uid, /*failed=*/true, trace::KillReason::kPreempt);
-  // add_cwise_min is per-lane `(avail + freed).cwise_min(capacity)`,
-  // matching the Resources expression it replaced bit for bit.
-  avail_.add_cwise_min(
-      static_cast<std::size_t>(host), est_local,
-      sim_.machines_[static_cast<std::size_t>(host)].capacity());
-  for (const auto& leg : est_remote) {
-    avail_.add_cwise_min(
-        static_cast<std::size_t>(leg.machine), leg_resources(leg),
-        sim_.machines_[static_cast<std::size_t>(leg.machine)].capacity());
-  }
+  const auto refund = [&](MachineId m, const Resources& freed) {
+    Resources& a = avail_[static_cast<std::size_t>(m)];
+    a = (a + freed).cwise_min(capacity(m));
+  };
+  refund(host, est_local);
+  for (const auto& leg : est_remote) refund(leg.machine, leg_resources(leg));
   return true;
 }
 
@@ -391,7 +369,6 @@ void Simulator::build_probe(const JobState& job, int stage_index,
   p.remote.swap(pd.remote);
   p.duration = pd.duration * f.duration;
   p.local_fraction = local_frac;
-  p.task_work = p.demand.normalized_by(avg_capacity_).sum() * p.duration;
 }
 
 EstFactors Simulator::est_factors(const JobState& job,

@@ -16,8 +16,7 @@ constexpr std::uint64_t kVersion = 1;
 }  // namespace
 
 std::vector<std::uint8_t> serialize_log(const TraceLog& log) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
   wire::put_varint(out, kVersion);
   wire::put_varint(out, log.seed);
   wire::put_varint(out, log.dropped);
@@ -51,6 +50,11 @@ TraceLog deserialize_log(const std::uint8_t* data, std::size_t size) {
   reader.pos += name_len;
   const std::uint64_t count = reader.get_varint();
   if (!reader.ok) throw std::runtime_error("trace log: truncated header");
+  // Checked before the reserve: a corrupt count must not allocate.
+  if (count > static_cast<std::uint64_t>(reader.end - reader.pos) /
+                  wire::kMinEventSize) {
+    throw std::runtime_error("trace log: event count exceeds the log");
+  }
   log.events.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     Event ev;

@@ -22,6 +22,9 @@
 
 namespace tetris::trace::wire {
 
+// The smallest record: kind, a one-byte mask and the time.
+inline constexpr std::size_t kMinEventSize = 1 + 1 + 8;
+
 inline std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);

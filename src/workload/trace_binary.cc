@@ -65,6 +65,13 @@ double get_f64(const char* p) {
 constexpr std::size_t kFileHeaderSize = 4 + 4 + 8;  // magic, version, count
 constexpr std::size_t kJobHeaderSize = 8 + 8 + 8;   // arrival, tasks, body
 
+// Smallest encodings of the body's repeated records (an empty name, no
+// deps, tasks, splits or replicas), which bound each count read below.
+constexpr std::size_t kMinStageSize = 4 + 4 + 4;  // name, deps, tasks
+constexpr std::size_t kMinTaskSize = 5 * 8 + 4;   // five f64s, splits
+constexpr std::size_t kMinSplitSize = 8 + 4 + 4;  // bytes, stage, replicas
+constexpr std::size_t kIdSize = 4;                // a dep or a replica
+
 void encode_body(std::vector<char>& out, const sim::JobSpec& job) {
   out.clear();
   put_str(out, job.name);
@@ -107,19 +114,27 @@ class BodyCursor {
     const std::uint32_t n = u32();
     return std::string(take(n), n);
   }
+  // A record count, rejected before anything is allocated for it unless
+  // the rest of the body can hold that many records of `min_size` bytes.
+  std::uint32_t count(std::size_t min_size) {
+    const std::uint32_t n = u32();
+    if (std::uint64_t{n} * min_size > size_ - pos_) overrun();
+    return n;
+  }
   bool exhausted() const { return pos_ == size_; }
   long job() const { return job_; }
 
  private:
   const char* take(std::size_t n) {
-    if (size_ - pos_ < n) {
-      throw std::runtime_error(
-          "binary trace: job " + std::to_string(job_) +
-          " body overruns its declared size (corrupt body_size or record)");
-    }
+    if (size_ - pos_ < n) overrun();
     const char* p = data_ + pos_;
     pos_ += n;
     return p;
+  }
+  [[noreturn]] void overrun() const {
+    throw std::runtime_error(
+        "binary trace: job " + std::to_string(job_) +
+        " body overruns its declared size (corrupt body_size or record)");
   }
 
   const char* data_;
@@ -133,15 +148,15 @@ sim::JobSpec decode_body(BodyCursor& c) {
   job.name = c.str();
   job.template_id = c.i32();
   job.queue = c.i32();
-  const std::uint32_t nstages = c.u32();
+  const std::uint32_t nstages = c.count(kMinStageSize);
   job.stages.reserve(nstages);
   for (std::uint32_t s = 0; s < nstages; ++s) {
     sim::StageSpec stage;
     stage.name = c.str();
-    const std::uint32_t ndeps = c.u32();
+    const std::uint32_t ndeps = c.count(kIdSize);
     stage.deps.reserve(ndeps);
     for (std::uint32_t d = 0; d < ndeps; ++d) stage.deps.push_back(c.i32());
-    const std::uint32_t ntasks = c.u32();
+    const std::uint32_t ntasks = c.count(kMinTaskSize);
     stage.tasks.reserve(ntasks);
     for (std::uint32_t t = 0; t < ntasks; ++t) {
       sim::TaskSpec task;
@@ -150,13 +165,13 @@ sim::JobSpec decode_body(BodyCursor& c) {
       task.peak_mem = c.f64();
       task.output_bytes = c.f64();
       task.max_io_bw = c.f64();
-      const std::uint32_t nsplits = c.u32();
+      const std::uint32_t nsplits = c.count(kMinSplitSize);
       task.inputs.reserve(nsplits);
       for (std::uint32_t i = 0; i < nsplits; ++i) {
         sim::InputSplit split;
         split.bytes = c.f64();
         split.from_stage = c.i32();
-        const std::uint32_t nreps = c.u32();
+        const std::uint32_t nreps = c.count(kIdSize);
         split.replicas.reserve(nreps);
         for (std::uint32_t r = 0; r < nreps; ++r)
           split.replicas.push_back(c.i32());
@@ -378,10 +393,10 @@ void write_binary_trace_file(const std::string& path,
 }
 
 sim::Workload read_binary_trace_file(const std::string& path) {
+  // No reserve: the header's job count is not checked against the file
+  // until the jobs are read.
   BinaryTraceReader reader(path);
   sim::Workload workload;
-  workload.jobs.reserve(
-      static_cast<std::size_t>(reader.total_jobs()));
   sim::JobSpec job;
   while (reader.next(job)) workload.jobs.push_back(std::move(job));
   return workload;

@@ -17,7 +17,6 @@
 #include "core/tetris_scheduler.h"
 #include "sim/simulator.h"
 #include "util/resources.h"
-#include "util/soa_planes.h"
 #include "workload/profiles.h"
 #include "workload/suite.h"
 
@@ -186,72 +185,6 @@ TEST(ScoreKernelTailTest, OddMachineCountsStayBitIdentical) {
       EXPECT_GT(r.perf.scalar_tail_evals, 0) << machines << " machines";
     }
   }
-}
-
-// --- SoA coherence through a live simulation ---
-
-// Wraps the real scheduler and, after every pass (i.e. after placements
-// mutated the planes mid-pass), checks the context's SoA views against
-// the virtual accessors lane by lane — and against a from-scratch rebuild.
-class PlaneCheckingScheduler : public sim::Scheduler {
- public:
-  std::string name() const override { return "plane-check"; }
-  void schedule(sim::SchedulerContext& ctx) override {
-    check(ctx);
-    inner_.schedule(ctx);
-    check(ctx);
-    passes_checked_++;
-  }
-  int passes_checked() const { return passes_checked_; }
-
- private:
-  void check(sim::SchedulerContext& ctx) {
-    const util::ResourcePlanes* avail = ctx.availability_planes();
-    const util::ResourcePlanes* cap = ctx.capacity_planes();
-    ASSERT_NE(avail, nullptr);
-    ASSERT_NE(cap, nullptr);
-    const int n = ctx.num_machines();
-    ASSERT_GE(avail->lanes(), static_cast<std::size_t>(n));
-    ASSERT_GE(cap->lanes(), static_cast<std::size_t>(n));
-    std::vector<Resources> avail_aos(avail->lanes());
-    std::vector<Resources> cap_aos(cap->lanes());
-    for (std::size_t m = 0; m < avail->lanes(); ++m) {
-      avail_aos[m] = ctx.available(static_cast<sim::MachineId>(m));
-      cap_aos[m] = ctx.capacity(static_cast<sim::MachineId>(m));
-      ASSERT_EQ(avail->gather(m), avail_aos[m]) << "machine " << m;
-      ASSERT_EQ(cap->gather(m), cap_aos[m]) << "machine " << m;
-    }
-    // Layout intact: bit-identical to a fresh rebuild.
-    ASSERT_TRUE(avail->identical_to(util::ResourcePlanes::rebuilt_from(
-        avail_aos)));
-    ASSERT_TRUE(cap->identical_to(util::ResourcePlanes::rebuilt_from(
-        cap_aos)));
-  }
-
-  core::TetrisScheduler inner_;
-  int passes_checked_ = 0;
-};
-
-TEST(SoACoherenceTest, PlanesTrackVirtualsThroughChurnAndPlacement) {
-  workload::SuiteConfig wcfg;
-  wcfg.num_jobs = 16;
-  wcfg.num_machines = 9;
-  wcfg.task_scale = 0.04;
-  wcfg.arrival_window = 200;
-  wcfg.seed = 3;
-  const sim::Workload w = workload::make_suite_workload(wcfg);
-
-  sim::SimConfig cfg;
-  cfg.num_machines = 9;
-  cfg.machine_capacity = workload::facebook_machine();
-  // Churn takes machines down and back up mid-run; completions and
-  // preemption-style refunds flow through the same planes.
-  cfg.churn.scripted = {{2, 20.0, 80.0}, {5, 50.0, 140.0}};
-
-  PlaneCheckingScheduler sched;
-  const sim::SimResult r = sim::simulate(cfg, w, sched);
-  EXPECT_TRUE(r.completed);
-  EXPECT_GT(sched.passes_checked(), 10);
 }
 
 }  // namespace

@@ -43,7 +43,6 @@ class FakeContext final : public sim::SchedulerContext {
       jv = &jobs_.back();
     }
     jv->runnable_tasks += runnable;
-    jv->total_tasks += runnable;
 
     FakeGroup g;
     g.view.ref = {job, stage};
@@ -127,7 +126,6 @@ class FakeContext final : public sim::SchedulerContext {
         p.local_fraction = lit->second;
       }
       p.duration = g.view.est_duration;
-      p.task_work = g.view.est_task_work;
       return p;
     }
     return p;
@@ -147,7 +145,6 @@ class FakeContext final : public sim::SchedulerContext {
       for (auto& j : jobs_) {
         if (j.id == p.group.job) {
           j.current_alloc += p.demand;
-          j.running_tasks++;
           j.runnable_tasks--;
         }
       }

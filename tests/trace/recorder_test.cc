@@ -261,6 +261,26 @@ TEST(TraceIo, RejectsTruncatedStream) {
   }
 }
 
+// The event count is checked against the bytes left before anything is
+// reserved for it: a corrupt count is a std::runtime_error, never a
+// std::bad_alloc (or an abort under ASan).
+TEST(TraceIo, CorruptEventCountIsRejectedNotAllocated) {
+  TraceLog log;
+  log.events.push_back(full_event());
+  std::vector<std::uint8_t> bytes = serialize_log(log);
+  // Empty scheduler name: the count varint is the header's last byte,
+  // after the magic, version, seed, dropped and name length.
+  ASSERT_EQ(bytes[12], 1);
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 53, std::uint64_t{1} << 28}) {
+    std::vector<std::uint8_t> bad(bytes.begin(), bytes.begin() + 12);
+    wire::put_varint(bad, count);
+    bad.insert(bad.end(), bytes.begin() + 13, bytes.end());
+    EXPECT_THROW(deserialize_log(bad.data(), bad.size()), std::runtime_error)
+        << "count " << count;
+  }
+}
+
 TEST(Compare, TimingFieldIsNeverSemantic) {
   Event a = full_event();
   Event b = a;

@@ -386,6 +386,56 @@ TEST(TraceBinaryTest, CorruptBodySizeIsRejectedNotDecoded) {
   std::remove(path.c_str());
 }
 
+// Every count the reader takes from a file is checked against the bytes
+// that could hold it before anything is allocated for it: a corrupt count
+// is a std::runtime_error, never a multi-gigabyte reserve (std::bad_alloc,
+// or an abort under ASan).
+TEST(TraceBinaryTest, CorruptCountsAreRejectedNotAllocated) {
+  // One stage, one task, one split, one replica, empty names.
+  sim::JobSpec job;
+  job.stages.emplace_back();
+  sim::TaskSpec task;
+  sim::InputSplit split;
+  split.bytes = 1;
+  split.replicas = {0};
+  task.inputs.push_back(split);
+  job.stages[0].tasks.push_back(task);
+  const std::string path = temp_path("counts");
+  write_binary_trace_file(path, sim::Workload{{job}});
+  const std::string good = read_all(path);
+  // File header, job header, then a 92-byte body; the offsets below are
+  // the body's five counts.
+  constexpr std::size_t kBody = 16 + 24;
+  ASSERT_EQ(good.size(), kBody + 92);
+  const struct {
+    const char* what;
+    std::size_t offset;
+  } counts[] = {{"stages", kBody + 12},
+                {"deps", kBody + 20},
+                {"tasks", kBody + 24},
+                {"splits", kBody + 68},
+                {"replicas", kBody + 84}};
+  for (const auto& field : counts) {
+    for (const std::uint32_t n : {0xFFFFFFFFu, 0x10000000u}) {
+      std::string bytes = good;
+      for (int i = 0; i < 4; ++i)
+        bytes[field.offset + static_cast<std::size_t>(i)] =
+            static_cast<char>((n >> (8 * i)) & 0xff);
+      write_all(path, bytes);
+      BinaryTraceReader reader(path);
+      sim::JobSpec out;
+      EXPECT_THROW(reader.next(out), std::runtime_error)
+          << field.what << " = " << n;
+    }
+  }
+  // A header that declares more jobs than any file could hold.
+  std::string bytes = good;
+  bytes[8 + 7] = 0x40;  // job count 2^62 + 1
+  write_all(path, bytes);
+  EXPECT_THROW(read_binary_trace_file(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
 TEST(TraceBinaryTest, PeekIsIdempotentAndCheap) {
   const sim::Workload w = random_workload(29, 5);
   const std::string path = temp_path("peek");
