@@ -9,7 +9,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/score_kernel.h"
 #include "sched/common.h"
 #include "sched/fairness.h"
 #include "trace/event.h"
@@ -88,13 +87,6 @@ struct TetrisScheduler::Pass {
     double eta;
     int tasks;  // claim budget: a stage can use at most this many machines
   };
-  // A cell of a round's worklists, with its row's SRTF remaining-work
-  // term.
-  struct RoundCell {
-    std::size_t g;
-    int m;
-    double rem;
-  };
 
   Pass(sim::SchedulerContext& c, bool n) : ctx(c), naive(n) {}
 
@@ -147,11 +139,8 @@ struct TetrisScheduler::Pass {
   std::vector<ImminentDemand> imminent;
   Claims claims;
 
-  // The current round: frozen eps, the optimized scan's worklists and
-  // the winner.
+  // The current round: frozen eps and the winner.
   double round_eps = 0;
-  std::vector<RoundCell> pending;  // admitted cells awaiting the kernel
-  std::vector<RoundCell> visit;    // live cells for Phase C
   std::ptrdiff_t best_ci = -1;  // index into cell_slots_, -1 = none
   std::size_t best_g = 0;
   double best_score = 0;
@@ -182,7 +171,7 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
   if (const sim::JobId retired = ctx.retired_before();
       retired > pruned_before_) {
     std::erase_if(last_placement_, [&](const auto& kv) {
-      return (kv.first >> 20) < static_cast<long long>(retired);
+      return (kv.first >> 32) < static_cast<long long>(retired);
     });
     pruned_before_ = retired;
   }
@@ -487,7 +476,7 @@ bool TetrisScheduler::scan_round(Pass& p) {
   if (p.naive) {
     scan_naive(p);
   } else {
-    scan_batched(p);
+    scan_optimized(p);
   }
   return p.best_ci >= 0;
 }
@@ -513,27 +502,70 @@ void TetrisScheduler::scan_naive(Pass& p) {
       if (m == p.reserved_machine && tier < 2) continue;
       const std::size_t ci = p.cidx(g, m);
       if (!cell_fresh_[ci]) {
-        refresh_cell_naive(p, g, m);
+        refresh_cell(p, g, m);
         if (cell_rejected_[ci]) p.row_rejected[g]++;
       }
-      if (cell_rejected_[ci]) continue;
-      const CellSlot& c = cell_slots_[ci];
-      if (tier == 0 && !p.claims.empty() &&
-          held_back(p.claims, m, c.alignment, c.probe.duration))
-        continue;
-      const double score = c.alignment - p.round_eps * rem;
-      if (p.best_ci < 0 || tier > p.best_tier ||
-          (tier == p.best_tier && score > p.best_score)) {
-        p.best_ci = static_cast<std::ptrdiff_t>(ci);
-        p.best_g = g;
-        p.best_score = score;
-        p.best_tier = tier;
-      }
+      if (!cell_rejected_[ci]) consider(p, g, m, tier, rem);
     }
   }
 }
 
-void TetrisScheduler::refresh_cell_naive(Pass& p, std::size_t g, int m) {
+// The optimized round: scan_naive's walk, in its order, with four
+// shortcuts. Row tiers and job indices are cached for the pass, and
+// eligibility is a byte mask. Within a pass availability only falls
+// (place() subtracts; preemption runs after the last round), which
+// licenses the other two (DESIGN.md §8.2):
+//   * sticky rejection: a cell rejected for fit reasons stays rejected
+//     under lower availability, so a column invalidation need not
+//     re-evaluate it;
+//   * whole-row skip: a row whose cells are all fresh and rejected would
+//     do nothing at all.
+// None of the four changes which cells get scored, or in what order, so
+// the eps normalizer — and with it every placement — matches the naive
+// scan bit for bit. A stale cell that passes the cheap reject is
+// re-probed; when only its column moved, the stage's probe slot replays
+// the probe (DESIGN.md §8.3).
+void TetrisScheduler::scan_optimized(Pass& p) {
+  const int num_machines = p.num_machines;
+  for (std::size_t g = 0; g < p.groups.size(); ++g) {
+    if (p.groups[g].runnable <= 0) continue;
+    const int tier = p.tier_by_row[g];
+    // Priority tiers bypass the fairness restriction (§3.5).
+    if (tier == 0 && !p.eligible_job[p.row_job[g]]) continue;
+    if (tier < p.best_tier) continue;
+    if (p.row_rejected[g] == num_machines) {
+      p.pc.row_skips += num_machines;
+      continue;
+    }
+    const double rem =
+        config_.srtf_weight > 0 ? p.jobs[p.row_job[g]].remaining_work : 0.0;
+    const int reserved = tier < 2 ? p.reserved_machine : -1;
+    for (int m = 0; m < num_machines; ++m) {
+      if (m == reserved) continue;
+      const std::size_t ci = p.cidx(g, m);
+      if (!cell_fresh_[ci]) {
+        if (cell_rejected_[ci] && cell_sticky_[ci]) {
+          // Rejected by a fit test against availability that has only
+          // fallen since (or by a pass-constant condition): still rejected.
+          cell_fresh_[ci] = 1;
+          p.pc.sticky_rejects++;
+        } else {
+          refresh_cell(p, g, m);
+          // Every rejection of a refresh is pass-constant or monotone in
+          // availability, so it may stand until the row is invalidated.
+          cell_sticky_[ci] = cell_rejected_[ci];
+        }
+        if (cell_rejected_[ci]) p.row_rejected[g]++;
+      }
+      // Most visited cells are rejected; testing the flag here keeps the
+      // call off them (calling for every cell cost batch_heavy 40% of its
+      // p99 pass latency).
+      if (!cell_rejected_[ci]) consider(p, g, m, tier, rem);
+    }
+  }
+}
+
+void TetrisScheduler::refresh_cell(Pass& p, std::size_t g, int m) {
   const std::size_t ci = p.cidx(g, m);
   CellSlot& c = cell_slots_[ci];
   sim::GroupView& group = p.groups[g];
@@ -568,166 +600,24 @@ void TetrisScheduler::refresh_cell_naive(Pass& p, std::size_t g, int m) {
   cell_rejected_[ci] = 0;
 }
 
-// The optimized scan: one row-major pass per round, in three phases.
-// Phase A walks the cells in the naive scan's order and does everything
-// before the score; Phase B scores the admitted cells through the kernel;
-// Phase C picks the round's best over the known alignments by the naive
-// rule. Within a pass availability only falls (place() subtracts;
-// preemption runs after the last round), which licenses Phase A's
-// shortcuts (DESIGN.md §8.2):
-//   * sticky rejection: a cell rejected for fit reasons stays rejected
-//     under lower availability, so a column invalidation need not
-//     re-evaluate it;
-//   * whole-row skip: a row whose cells are all fresh and rejected would
-//     do nothing at all.
-// Neither changes which cells get *scored*, so the eps normalizer — and
-// with it every placement — matches the naive scan bit for bit. A stale
-// cell that passes the cheap reject is re-probed; when only its column
-// moved, the stage's probe slot replays the probe (DESIGN.md §8.3).
-void TetrisScheduler::scan_batched(Pass& p) {
-  const int num_machines = p.num_machines;
-
-  // Phase A's half of a refresh: everything the naive refresh does up to
-  // the score itself — the sticky shortcut, rejected-until-proven marking,
-  // runnable/up/constraint checks, the cheap cpu/mem reject, the probe and
-  // the full admission test. Returns true iff the cell passed admission
-  // and its alignment must come from the kernel. Gating on the scalar
-  // admission here keeps the batch dense: a cell the naive scan rejects
-  // with a component compare never pays the gather and lane cost.
-  const auto prepare_cell = [&](std::size_t g, int m, std::size_t ci) {
-    if (cell_rejected_[ci] && cell_sticky_[ci]) {
-      // The rejection was a fit test against availability that has only
-      // fallen since (or a pass-constant condition): still rejected.
-      cell_fresh_[ci] = 1;
-      p.pc.sticky_rejects++;
-      return false;
-    }
-    cell_fresh_[ci] = 1;
-    cell_rejected_[ci] = 1;
-    // Every rejection below is pass-constant or monotone in availability,
-    // so the flag may stand until a score clears it.
-    cell_sticky_[ci] = 1;
-    sim::GroupView& group = p.groups[g];
-    if (group.runnable <= 0) return false;
-    if (!p.ctx.machine_up(m)) return false;
-    if (!p.ctx.constraints_admit(group.ref, m)) return false;
-    if (!sched::fits_cpu_mem(group.est_demand, p.ctx.available(m)))
-      return false;
-    CellSlot& c = cell_slots_[ci];
-    p.ctx.probe_into(group.ref, m, &c.probe);
-    p.pc.probes_issued++;
-    if (!c.probe.valid) {
-      group.runnable = 0;  // no candidate task left anywhere
-      return false;
-    }
-    return admits(config_, p.ctx, c.probe);
-  };
-
-  // Phase A: the rows in order, through the naive scan's row filters and
-  // the whole-row skip. Each stale cell is refreshed up to its score; a
-  // cell that passes full admission joins the pending list, and every
-  // live cell joins the visit list — both in scan order. Stale cells
-  // count as rejected until Phase B scores them.
-  //
-  // The naive scan skips a row whose tier is below that of a candidate
-  // it has already found. Hold-back applies only to tier 0, so a row of
-  // tier >= 1 yields a candidate exactly when it has a live cell (fresh
-  // and not rejected, or admitted and awaiting its score); a tier-0
-  // candidate skips nothing, as no tier is below 0. `live_tier`, the
-  // highest tier of a scanned row with a live cell, therefore gives the
-  // naive skip set row for row before any score is known.
-  p.pending.clear();
-  p.visit.clear();
-  int live_tier = 0;
-  for (std::size_t g = 0; g < p.groups.size(); ++g) {
-    if (p.groups[g].runnable <= 0) continue;
-    const int tier = p.tier_by_row[g];
-    // Priority tiers bypass the fairness restriction (§3.5).
-    if (tier == 0 && !p.eligible_job[p.row_job[g]]) continue;
-    if (tier < live_tier) continue;
-    if (p.row_rejected[g] == num_machines) {
-      p.pc.row_skips += num_machines;
-      continue;
-    }
-    const double rem =
-        config_.srtf_weight > 0 ? p.jobs[p.row_job[g]].remaining_work : 0.0;
-    // A reserved machine only accepts the starved tier.
-    const int reserved = tier < 2 ? p.reserved_machine : -1;
-    const std::size_t row = p.cidx(g, 0);
-    const std::size_t visited = p.visit.size();
-    for (int m = 0; m < num_machines; ++m) {
-      if (m == reserved) continue;
-      const std::size_t ci = row + static_cast<std::size_t>(m);
-      if (!cell_fresh_[ci]) {
-        p.row_rejected[g]++;
-        if (prepare_cell(g, m, ci)) {
-          p.pending.push_back({g, m, rem});
-          p.visit.push_back({g, m, rem});
-        }
-      } else if (!cell_rejected_[ci]) {
-        p.visit.push_back({g, m, rem});
-      }
-    }
-    if (p.visit.size() > visited) live_tier = std::max(live_tier, tier);
-  }
-
-  // Phase B: the pending cells' alignments, lane_width() lanes per kernel
-  // call, in scan order. Every pending cell already passed the full
-  // scalar admission, so each lane scores exactly as the naive refresh
-  // would: same counter, same cell writeback, and its |a| enters the eps
-  // normalizer in the naive (g, m) order. Its provisional rejection is
-  // undone.
-  const auto width = static_cast<std::size_t>(simd::lane_width());
-  simd::ScoreBlock block;
-  simd::ScoreOut res;
-  for (std::size_t i = 0; i < p.pending.size(); i += block.n) {
-    block.n = std::min(width, p.pending.size() - i);
-    for (std::size_t l = 0; l < block.n; ++l) {
-      const Pass::RoundCell& w = p.pending[i + l];
-      const CellSlot& c = cell_slots_[p.cidx(w.g, w.m)];
-      const Resources avail = p.ctx.available(w.m);
-      const Resources& cap = p.ctx.capacity(w.m);
-      for (std::size_t r = 0; r < kNumResources; ++r) {
-        block.demand[r][l] = c.probe.demand.at(r);
-        block.avail[r][l] = avail.at(r);
-        block.cap[r][l] = cap.at(r);
-      }
-      block.local_fraction[l] = c.probe.local_fraction;
-    }
-    simd::score_block(config_.alignment, config_.remote_penalty, block, &res,
-                      &p.pc.simd_blocks, &p.pc.scalar_tail_evals);
-    for (std::size_t l = 0; l < block.n; ++l) {
-      const Pass::RoundCell& w = p.pending[i + l];
-      const std::size_t ci = p.cidx(w.g, w.m);
-      const double a = res.score[l];
-      p.pc.score_evals++;
-      alignment_sum_ += std::abs(a);
-      alignment_count_++;
-      cell_slots_[ci].alignment = a;
-      cell_rejected_[ci] = 0;
-      cell_sticky_[ci] = 0;
-      p.row_rejected[w.g]--;
-    }
-  }
-
-  // Phase C: the naive candidate rule over the visit list, in scan order.
-  // A higher tier always wins; strict > keeps the first candidate in
-  // row-major order on score ties.
-  for (const Pass::RoundCell& v : p.visit) {
-    const std::size_t ci = p.cidx(v.g, v.m);
-    const CellSlot& c = cell_slots_[ci];
-    const int tier = p.tier_by_row[v.g];
-    if (tier == 0 && !p.claims.empty() &&
-        held_back(p.claims, v.m, c.alignment, c.probe.duration))
-      continue;
-    const double score = c.alignment - p.round_eps * v.rem;
-    if (p.best_ci < 0 || tier > p.best_tier ||
-        (tier == p.best_tier && score > p.best_score)) {
-      p.best_ci = static_cast<std::ptrdiff_t>(ci);
-      p.best_g = v.g;
-      p.best_score = score;
-      p.best_tier = tier;
-    }
+// The candidate rule over one live (fresh, not rejected) cell, in scan
+// order: a higher tier always wins, and the strict > keeps the first
+// candidate in row-major order on score ties. Hold-back applies to tier 0
+// only.
+void TetrisScheduler::consider(Pass& p, std::size_t g, int m, int tier,
+                               double rem) const {
+  const std::size_t ci = p.cidx(g, m);
+  const CellSlot& c = cell_slots_[ci];
+  if (tier == 0 && !p.claims.empty() &&
+      held_back(p.claims, m, c.alignment, c.probe.duration))
+    return;
+  const double score = c.alignment - p.round_eps * rem;
+  if (p.best_ci < 0 || tier > p.best_tier ||
+      (tier == p.best_tier && score > p.best_score)) {
+    p.best_ci = static_cast<std::ptrdiff_t>(ci);
+    p.best_g = g;
+    p.best_score = score;
+    p.best_tier = tier;
   }
 }
 

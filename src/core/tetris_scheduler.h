@@ -23,6 +23,7 @@
 //     stage of the DAG while consuming few resources).
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -95,9 +96,10 @@ struct TetrisConfig {
 
   // Oracle switch for the hot-path shortcuts (DESIGN.md §8): when true,
   // every stale candidate cell is fully recomputed — no sticky
-  // rejections, no whole-row skips, no SIMD kernel. Produces
-  // bit-identical schedules to the optimized default (the equivalence
-  // property test enforces it); exists so the oracle stays runnable.
+  // rejections, no whole-row skips, no cached row tiers or eligibility
+  // mask. Produces bit-identical schedules to the optimized default (the
+  // equivalence property test enforces it); exists so the oracle stays
+  // runnable.
   bool naive_scoring = false;
 
   std::string name = "tetris";
@@ -126,8 +128,11 @@ class TetrisScheduler final : public sim::Scheduler {
   const util::PerfCounters& perf() const { return perf_; }
 
  private:
+  // Job in the high 32 bits, stage in the low 32: no two groups share a
+  // key whatever their stage count.
   static long long group_key(const sim::GroupRef& ref) {
-    return (static_cast<long long>(ref.job) << 20) | ref.stage;
+    return (static_cast<long long>(ref.job) << 32) |
+           static_cast<std::uint32_t>(ref.stage);
   }
 
   // Pass-local state of one schedule() call (defined in the .cc). The
@@ -144,12 +149,14 @@ class TetrisScheduler final : public sim::Scheduler {
   void prepare_scan(Pass& p);
   // Scan round: picks the round's best <group, machine> cell into `p`;
   // false when no candidate remains. The oracle's round is scan_naive;
-  // the optimized round is scan_batched, one row-major pass that scores
-  // through the SIMD kernel (DESIGN.md §12.4).
+  // the optimized round is scan_optimized, the same row-major walk with
+  // the shortcuts of DESIGN.md §8.2. Both refresh a stale cell with
+  // refresh_cell and rank it with consider.
   bool scan_round(Pass& p);
   void scan_naive(Pass& p);
-  void refresh_cell_naive(Pass& p, std::size_t g, int m);
-  void scan_batched(Pass& p);
+  void scan_optimized(Pass& p);
+  void refresh_cell(Pass& p, std::size_t g, int m);
+  void consider(Pass& p, std::size_t g, int m, int tier, double rem) const;
   // Commit: place the round's winner and invalidate what it changed.
   void commit(Pass& p);
   // Preemption: at most one fairness kill after the last round.
@@ -170,7 +177,7 @@ class TetrisScheduler final : public sim::Scheduler {
   // Highest retirement watermark already pruned from last_placement_.
   sim::JobId pruned_before_ = 0;
   // Persistent <group, machine> cell matrix in structure-of-arrays form
-  // (DESIGN.md §12.5): the heavy payload (probe + alignment) lives in
+  // (DESIGN.md §8.6): the heavy payload (probe + alignment) lives in
   // slots that survive across passes — so every probe keeps its
   // remote-leg buffer capacity — while the per-pass scan flags are
   // separate byte planes reset with three fills. Constructing and

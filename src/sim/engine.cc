@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -89,6 +90,11 @@ Simulator::Simulator(const SimConfig& config, JobSource* source,
   init_cluster();
   if (total_jobs_ < 0)
     throw std::invalid_argument("JobSource reports a negative job count");
+  // Jobs are numbered 0..total_jobs_ - 1 as JobIds, and streaming reserves
+  // one event sequence number per declared job (prepare).
+  if (total_jobs_ > std::numeric_limits<JobId>::max())
+    throw std::invalid_argument(
+        "JobSource declares more jobs than a JobId can number");
   // The noise stream forks after the churn stream (if any, init_cluster),
   // at the same point in both modes, or enabling streaming would perturb
   // the factor sequence.

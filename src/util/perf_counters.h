@@ -20,11 +20,11 @@ struct PerfCounters {
   long probe_reuses = 0;
   long fit_index_skips = 0;
 
-  // SIMD scoring kernel (DESIGN.md §12). Every cell the optimized scan
-  // scores is one kernel lane, so on that path
-  // simd_blocks * lane_width() + scalar_tail_evals == score_evals.
-  long simd_blocks = 0;        // full-width vector blocks evaluated
-  long scalar_tail_evals = 0;  // batch lanes evaluated on the scalar tail
+  // Always 0: the SIMD scoring kernel is gone (DESIGN.md §12) and both
+  // scans score each cell in place. Kept only because perfbench reads
+  // them.
+  long simd_blocks = 0;
+  long scalar_tail_evals = 0;
 
   // Simulator-side (SchedulerContext caches):
   long probe_cache_hits = 0;       // probes replayed from a stage's slot

@@ -501,6 +501,39 @@ TEST(TetrisConfig, RejectsNonPositiveStarvationThreshold) {
   EXPECT_THROW(TetrisScheduler{bad}, std::invalid_argument);
 }
 
+// A group's last-served stamp is keyed by job and stage, and a job may
+// have any number of stages: serving stage 2^20 of job 0 must not stamp
+// stage 0 of job 1. Both wait past the threshold; only one fits at a time.
+TEST(Tetris, ServingOneStarvedGroupLeavesAnotherJobsGroupStarved) {
+  for (const bool naive : {false, true}) {
+    SCOPED_TRACE(naive ? "naive" : "optimized");
+    const Resources cap = Resources::uniform(1);
+    Resources demand;
+    demand[Resource::kCpu] = 0.6;
+    test::FakeContext ctx({cap});
+    ctx.add_group(0, 1 << 20, 1, demand).view.longest_wait = 10;
+    ctx.add_group(1, 0, 1, demand).view.longest_wait = 10;
+    ctx.set_now(100);
+    TetrisConfig tcfg;
+    tcfg.starvation_threshold = 5;
+    tcfg.naive_scoring = naive;
+    TetrisScheduler sched(tcfg);
+    sched.schedule(ctx);
+    ASSERT_EQ(ctx.placements.size(), 1u);
+    EXPECT_EQ(ctx.placements[0].group.job, 0);
+    EXPECT_EQ(sched.stats().starved_placements, 1);
+
+    // A second later the machine is free again. Job 1's group has never
+    // been served, so it is still starved.
+    ctx.set_now(101);
+    ctx.set_available(0, cap);
+    sched.schedule(ctx);
+    ASSERT_EQ(ctx.placements.size(), 2u);
+    EXPECT_EQ(ctx.placements[1].group.job, 1);
+    EXPECT_EQ(sched.stats().starved_placements, 2);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fairness preemption (extension; §3.1 excludes preemption for simplicity)
 
@@ -839,8 +872,8 @@ TEST(TetrisHotPath, WavesReplayEpsInNaiveRowOrder) {
 }
 
 // The naive scan skips a row whose tier is below that of a candidate it
-// has already found; the optimized scan decides the same skip before any
-// score, from the rows it has seen with a live cell (DESIGN.md §12.4).
+// has already found, and the optimized scan must skip exactly the same
+// rows, its whole-row skip included (DESIGN.md §8.2).
 // Rows: tier 0, a tier-1 straggler (9 of 10 tasks done), tier 0. When the
 // straggler is admissible it wins round 1, and the naive scan leaves the
 // last row alone that round. When it fits nowhere it yields no candidate,

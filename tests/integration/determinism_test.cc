@@ -45,7 +45,7 @@ sim::SimResult run(const sim::SimConfig& cfg, const sim::Workload& w) {
 
 // Full SimResult comparison, excluding only wall-clock measurements. Every
 // perf counter is deterministic outside federation, so the counters are
-// compared exactly, probe-cache traffic and kernel blocks included.
+// compared exactly, probe-cache traffic included.
 void expect_repeat_identical(const sim::SimResult& a, const sim::SimResult& b) {
   EXPECT_EQ(a.scheduler_name, b.scheduler_name);
   EXPECT_EQ(a.completed, b.completed);

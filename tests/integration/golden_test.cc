@@ -16,6 +16,10 @@
 //   ./build/tests/integration_golden_test | grep '^constexpr'
 //
 // which prints a line ready to paste for every case whose digest moved.
+// HeavyBacklog also pins the default path's scan work (the cells scored,
+// the probes issued and the two shortcuts' skips), so a scan change that
+// keeps the schedule but changes the work fails here too; it prints its
+// paste line the same way.
 // The goldens were generated with g++ 12.2.0 (its libstdc++) and glibc
 // 2.36 on x86-64. Hash-table iteration order still reaches the schedules
 // in three places (DESIGN.md §4, "Rate recompute"): the order of tied
@@ -35,6 +39,7 @@
 #include "sched/slot_scheduler.h"
 #include "sim/simulator.h"
 #include "tests/support/schedule_digest.h"
+#include "util/perf_counters.h"
 #include "workload/constrained.h"
 #include "workload/facebook.h"
 #include "workload/motivating.h"
@@ -52,6 +57,15 @@ constexpr std::uint64_t kFederatedCellKill = 0x3d5fda05ba2c693eULL;
 constexpr std::uint64_t kMachineChurn = 0x486544a9261cf6ecULL;
 constexpr std::uint64_t kPlacementConstraints = 0x7816a340a74f1b29ULL;
 constexpr std::uint64_t kBaselineContention = 0x1d98eda956058b02ULL;
+
+struct ScanWork {
+  long score_evals;
+  long probes_issued;
+  long sticky_rejects;
+  long row_skips;
+  friend bool operator==(const ScanWork&, const ScanWork&) = default;
+};
+constexpr ScanWork kHeavyBacklogWork = {15969, 43148, 68651, 8940};
 
 std::string hex(std::uint64_t v) {
   std::ostringstream os;
@@ -74,6 +88,18 @@ void expect_golden(const std::string& name, std::uint64_t golden,
   }
   EXPECT_EQ(naive, got) << name << ": the naive oracle gives " << hex(naive)
                         << ", the default path " << hex(got);
+}
+
+// The default path's scan work must equal `golden`.
+void expect_scan_work(const std::string& name, const ScanWork& golden,
+                      const util::PerfCounters& perf) {
+  const ScanWork got{perf.score_evals, perf.probes_issued,
+                     perf.sticky_rejects, perf.row_skips};
+  if (got == golden) return;
+  ADD_FAILURE() << name << ": scan work moved; if that is intended, paste\n"
+                << "constexpr ScanWork k" << name << "Work = {"
+                << got.score_evals << ", " << got.probes_issued << ", "
+                << got.sticky_rejects << ", " << got.row_skips << "};";
 }
 
 std::uint64_t digest_of(const sim::SimResult& r) {
@@ -135,9 +161,14 @@ TEST(Golden, MotivatingExample) {
 // 230 jobs on 30 machines.
 TEST(Golden, HeavyBacklog) {
   const sim::Workload w = facebook_trace(60, 10, /*arrival_window=*/0);
+  util::PerfCounters perf;
   expect_golden("HeavyBacklog", kHeavyBacklog, [&](bool naive) {
-    return digest_of(simulate_tetris(facebook_cluster(10), w, {}, naive));
+    const sim::SimResult r =
+        simulate_tetris(facebook_cluster(10), w, {}, naive);
+    if (!naive) perf = r.perf;
+    return digest_of(r);
   });
+  expect_scan_work("HeavyBacklog", kHeavyBacklogWork, perf);
 }
 
 // bench_streaming's arrival stream (generator seed 42, offered load ~2/3

@@ -282,6 +282,30 @@ TEST(Simulator, EmptyWorkloadCompletesImmediately) {
   EXPECT_EQ(r.makespan, 0.0);
 }
 
+// A source that declares more jobs than a JobId can number is rejected
+// before the count is used: job ids would wrap, and the streaming engine
+// reserves one event sequence number per declared job.
+TEST(Simulator, RejectsDeclaredJobCountsPastTheJobIdRange) {
+  class DeclaredOnly final : public JobSource {
+   public:
+    explicit DeclaredOnly(long jobs) : jobs_(jobs) {}
+    long total_jobs() const override { return jobs_; }
+    bool peek(JobPeek&) override { return false; }
+    bool next(JobSpec&) override { return false; }
+
+   private:
+    long jobs_;
+  };
+  constexpr long kMaxJobs = std::numeric_limits<JobId>::max();
+  for (const long jobs : {std::numeric_limits<long>::max(), kMaxJobs + 1L}) {
+    DeclaredOnly source(jobs);
+    GreedyFitScheduler sched;
+    EXPECT_THROW(simulate_stream(small_cluster(1), source, sched),
+                 std::invalid_argument)
+        << jobs << " jobs";
+  }
+}
+
 TEST(Simulator, InvalidWorkloadThrows) {
   Workload w;
   JobSpec job;
