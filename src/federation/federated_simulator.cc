@@ -61,11 +61,14 @@ FederatedResult simulate_federated(const FederationConfig& config,
     throw std::invalid_argument("FederationConfig: invalid base: " + msg);
   }
   const int num_cells = static_cast<int>(base.cells.size());
+  // A kill's scripted outage needs a finite recovery after it, so the
+  // largest double is not a kill time.
   for (const auto& kill : config.kills) {
     if (kill.cell < 0 || kill.cell >= num_cells ||
-        !(0 <= kill.at && kill.at < std::numeric_limits<double>::infinity())) {
+        !(0 <= kill.at && kill.at < std::numeric_limits<double>::max())) {
       throw std::invalid_argument(
-          "FederationConfig: kill needs a valid cell and a finite time >= 0");
+          "FederationConfig: kill needs a valid cell and a finite time >= 0 "
+          "below the largest double");
     }
   }
   // Global job ids are positions in arrival-sorted order — the ids
@@ -89,11 +92,13 @@ FederatedResult simulate_federated(const FederationConfig& config,
     for (const auto& kill : config.kills) {
       if (kill.cell != c) continue;
       // Whole-cell outage as scripted churn, so the existing machine-down
-      // machinery (task kill/requeue, counters, traces) does the work; the
-      // recovery sits far past max_time — a dead cell stays dead.
+      // machinery (task kill/requeue, counters, traces) does the work. A
+      // dead cell stays dead: the driver halts it at the kill, before the
+      // recovery, so any finite recovery time after the kill will do.
+      const SimTime recovery =
+          std::nextafter(kill.at, std::numeric_limits<double>::infinity());
       for (int m = 0; m < base.cells[c].size(); ++m) {
-        cfg.churn.scripted.push_back(
-            {m, kill.at, kill.at + 2 * base.max_time});
+        cfg.churn.scripted.push_back({m, kill.at, recovery});
       }
     }
     schedulers.push_back(

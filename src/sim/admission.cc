@@ -431,7 +431,6 @@ void Simulator::on_finish(int uid, long generation) {
   TaskState& task = task_at(uid);
   if (task.status != TaskStatus::kRunning || task.generation != generation)
     return;  // stale prediction
-  update_progress(task);
   complete_task(uid, /*failed=*/task.will_fail);
 }
 

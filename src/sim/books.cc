@@ -9,6 +9,8 @@
 // demand map.
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <unordered_map>
 
 #include "sim/simulator_impl.h"
@@ -22,6 +24,16 @@ constexpr double kSpeedEps = 1e-9;
 // is considered done (floating-point rounding of event times).
 constexpr double kProgressEps = 1e-9;
 
+// Banks the progress a task earned at its current speed up to `to`.
+void advance_progress(TaskState& t, SimTime to) {
+  const double dt = to - t.progress_updated_at;
+  if (dt > 0 && t.speed > 0 && t.placement.duration > 0) {
+    t.progress =
+        std::min(1.0, t.progress + dt * t.speed / t.placement.duration);
+  }
+  t.progress_updated_at = to;
+}
+
 }  // namespace
 
 void Simulator::charge(JobState& job, const TaskState& task) {
@@ -34,6 +46,7 @@ void Simulator::charge(JobState& job, const TaskState& task) {
     mark_dirty(leg.machine);
   }
   job.current_alloc += task.placement.local;
+  charged_.push_back(task.uid);
 }
 
 void Simulator::release(JobState& job, const TaskState& task) {
@@ -154,14 +167,33 @@ void Simulator::mark_dirty(MachineId m) {
   }
 }
 
-void Simulator::update_progress(TaskState& t) {
-  if (t.status != TaskStatus::kRunning) return;
-  const double dt = now_ - t.progress_updated_at;
-  if (dt > 0 && t.speed > 0 && t.placement.duration > 0) {
-    t.progress =
-        std::min(1.0, t.progress + dt * t.speed / t.placement.duration);
+void Simulator::bank_progress(TaskState& t) {
+  const SimTime since = t.progress_updated_at;
+  const auto skipped = [&](MachineId m) {
+    const auto& times = refresh_logs_[static_cast<std::size_t>(m)].times;
+    return std::span(std::upper_bound(times.begin(), times.end(), since),
+                     times.end());
+  };
+  if (t.placement.remote.empty()) {
+    for (SimTime at : skipped(t.host)) advance_progress(t, at);
+    return;
   }
-  t.progress_updated_at = now_;
+  // A time logged on several of the task's machines replays once with
+  // dt > 0 and then as no-ops, as a task visited once per call would.
+  replay_.clear();
+  const auto gather = [&](MachineId m) {
+    const auto s = skipped(m);
+    replay_.insert(replay_.end(), s.begin(), s.end());
+  };
+  gather(t.host);
+  for (const auto& leg : t.placement.remote) gather(leg.machine);
+  std::sort(replay_.begin(), replay_.end());
+  for (SimTime at : replay_) advance_progress(t, at);
+}
+
+void Simulator::update_progress(TaskState& t) {
+  bank_progress(t);
+  advance_progress(t, now_);
 }
 
 double Simulator::compute_speed(const TaskState& t) const {
@@ -178,36 +210,32 @@ double Simulator::compute_speed(const TaskState& t) const {
 
 void Simulator::refresh_dirty() {
   if (dirty_list_.empty()) return;
-  // Re-predict each task on a dirty machine once: the epoch stamp marks a
-  // task visited in this call. The body writes only its own task and reads
+  // Re-predict each affected task once: the epoch stamp marks a task
+  // visited in this call. The body writes only its own task and reads
   // share state nothing here writes, so the visit order reaches no value;
   // it can reach the schedule only through the order of tied finishes.
   ++refresh_epoch_;
   finishes_.clear();
+  // The naive view keeps the eager refresh: it finds no machine quiet and
+  // visits every task on every dirty machine, so its logs stay empty.
+  const bool eager = config_.naive_scheduler_view;
   for (MachineId m : dirty_list_) {
-    for (const auto& [uid, demand] : machines_[static_cast<std::size_t>(m)]
-                                         .demands()) {
-      TaskState& t = task_at(uid);
-      if (t.refresh_epoch == refresh_epoch_) continue;
-      t.refresh_epoch = refresh_epoch_;
-      if (t.status != TaskStatus::kRunning) continue;
-      update_progress(t);
-      const double new_speed = compute_speed(t);
-      const bool first_prediction = t.speed == 0 && t.progress == 0;
-      if (!first_prediction &&
-          std::abs(new_speed - t.speed) <= kSpeedEps * std::max(1.0, t.speed))
-        continue;
-      t.speed = new_speed;
-      t.generation++;
-      if (t.speed <= kSpeedEps) continue;  // stalled; re-predicted later
-      const double target = target_progress(t);
-      const double remaining =
-          std::max(0.0, target - t.progress + kProgressEps) *
-          t.placement.duration / t.speed;
-      finishes_.push_back(
-          {now_ + remaining, 0, Event::Type::kFinish, uid, t.generation});
+    const Machine& machine = machines_[static_cast<std::size_t>(m)];
+    RefreshLog& log = refresh_logs_[static_cast<std::size_t>(m)];
+    const bool quiet = !eager && log.uncontended && machine.uncontended();
+    log.uncontended = machine.uncontended();
+    if (quiet) {
+      log.times.push_back(now_);
+      if (log.times.size() >= log.trim_at) trim_refresh_log(m);
+      continue;
     }
+    for (const auto& [uid, demand] : machine.demands()) repredict(uid);
+    log.times.clear();  // every task here is banked up to now_
   }
+  // A new attempt needs its first prediction, a failed-over one a fresh
+  // prediction on its new legs, whether or not its machines are quiet.
+  for (int uid : charged_) repredict(uid);
+  charged_.clear();
   // The call's events take consecutive seq numbers, and EventLater reads
   // seq only between equal times: only the order of tied events shows.
   if (finishes_.size() > 1) {
@@ -222,6 +250,40 @@ void Simulator::refresh_dirty() {
   for (const Event& e : finishes_) push(e);
   for (MachineId m : dirty_list_) dirty_flags_[static_cast<std::size_t>(m)] = 0;
   dirty_list_.clear();
+}
+
+void Simulator::repredict(int uid) {
+  TaskState& t = task_at(uid);
+  if (t.refresh_epoch == refresh_epoch_) return;
+  t.refresh_epoch = refresh_epoch_;
+  if (t.status != TaskStatus::kRunning) return;
+  update_progress(t);
+  const double new_speed = compute_speed(t);
+  const bool first_prediction = t.speed == 0 && t.progress == 0;
+  if (!first_prediction &&
+      std::abs(new_speed - t.speed) <= kSpeedEps * std::max(1.0, t.speed))
+    return;
+  t.speed = new_speed;
+  t.generation++;
+  if (t.speed <= kSpeedEps) return;  // stalled; re-predicted later
+  const double target = target_progress(t);
+  const double remaining = std::max(0.0, target - t.progress + kProgressEps) *
+                           t.placement.duration / t.speed;
+  finishes_.push_back(
+      {now_ + remaining, 0, Event::Type::kFinish, uid, t.generation});
+}
+
+void Simulator::trim_refresh_log(MachineId m) {
+  // A task banks only the times after its progress_updated_at, so the
+  // times up to the oldest of those on this machine are never replayed.
+  RefreshLog& log = refresh_logs_[static_cast<std::size_t>(m)];
+  SimTime oldest = std::numeric_limits<double>::infinity();
+  for (const auto& [uid, demand] :
+       machines_[static_cast<std::size_t>(m)].demands())
+    oldest = std::min(oldest, task_at(uid).progress_updated_at);
+  log.times.erase(log.times.begin(), std::upper_bound(log.times.begin(),
+                                                      log.times.end(), oldest));
+  log.trim_at = std::max(RefreshLog::kMinTrim, 2 * log.times.size());
 }
 
 void Simulator::order_as_hash_set(std::vector<Event>& events) const {

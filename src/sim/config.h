@@ -208,9 +208,13 @@ struct SimConfig {
   // Oracle switch for the hot-path caches (DESIGN.md §8): when true, the
   // simulator recomputes the scheduler's view (probes, group estimates,
   // longest waits) from scratch on every call instead of serving it from
-  // the stages' incrementally-invalidated state. Slower, but trivially
-  // correct — the equivalence property test pins the cached path to it
-  // bit for bit. Availability is rebuilt every pass on both paths.
+  // the stages' incrementally-invalidated state, and keeps the eager rate
+  // recompute: every refresh re-predicts every task on every dirty
+  // machine and banks its progress there, where the default path skips
+  // quiet machines and replays their logged refresh times (DESIGN.md §4,
+  // "Rate recompute"). Slower, but trivially correct — the equivalence
+  // property test pins the default path to it bit for bit. Availability
+  // is rebuilt every pass on both paths.
   bool naive_scheduler_view = false;
 
   // Structured event tracing (DESIGN.md §10): when trace.enabled, the

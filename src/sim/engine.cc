@@ -141,6 +141,7 @@ void Simulator::init_cluster() {
   alloc_est_.assign(machines_.size(), Resources{});
   hosted_count_.assign(machines_.size(), 0);
   dirty_flags_.assign(machines_.size(), 0);
+  refresh_logs_.assign(machines_.size(), RefreshLog{});
 
   down_depth_.assign(static_cast<std::size_t>(num_real_machines_), 0);
   external_active_.assign(static_cast<std::size_t>(num_real_machines_),

@@ -55,6 +55,9 @@ class Machine {
     return ratios_[static_cast<std::size_t>(r)];
   }
   bool memory_thrashing() const { return thrashing_; }
+  // Every share ratio is 1.0 and memory is not thrashing: grant_ratio is
+  // 1.0 for any demand.
+  bool uncontended() const { return uncontended_; }
 
   // Actual consumption: granted rates (demand * share ratio) plus external
   // usage, capped at capacity. This is what the resource tracker's OS
@@ -81,8 +84,7 @@ class Machine {
   Resources external_usage_;
   std::array<double, kNumResources> ratios_;
   bool thrashing_ = false;
-  // Every share ratio is exactly 1.0 and memory is not thrashing, so
-  // grant_ratio is 1.0 for any demand. Kept by recompute().
+  // uncontended(), kept by recompute().
   bool uncontended_ = true;
   bool up_ = true;
 };

@@ -252,12 +252,24 @@ class Simulator {
   Resources tracker_available(MachineId m) const;
   // ---- rate recomputation ----
   void mark_dirty(MachineId m);
-  // Re-predicts the finish of every running task on a dirty machine and
-  // clears the dirty set (DESIGN.md §4, "Rate recompute").
+  // Re-predicts the finish of every task whose speed can have moved and
+  // clears the dirty set (DESIGN.md §4, "Rate recompute"): each task on a
+  // dirty machine that is not quiet, and each attempt charged since the
+  // last call. A quiet dirty machine only logs the call's time.
   void refresh_dirty();
+  // One task's re-prediction, at most once per refresh_dirty call.
+  void repredict(int uid);
+  // Drops the logged times that no task on machine m still has to bank.
+  void trim_refresh_log(MachineId m);
   // Puts one refresh's finish events in the tie order the golden digests
   // pin (books.cc); called only when two of them have the same time.
   void order_as_hash_set(std::vector<Event>& events) const;
+  // Banks the progress running task t earned at the refreshes that logged
+  // rather than visited it: the logged times after t.progress_updated_at
+  // on its host and legs, in time order, as those visits would have. Every
+  // read of t.progress comes after a call.
+  void bank_progress(TaskState& t);
+  // bank_progress, then on up to now_.
   void update_progress(TaskState& t);
   double compute_speed(const TaskState& t) const;
   double target_progress(const TaskState& t) const {
@@ -349,9 +361,23 @@ class Simulator {
   std::vector<char> dirty_flags_;
   std::vector<MachineId> dirty_list_;
   // refresh_dirty's call count (TaskState::refresh_epoch stamps a task
-  // visited in the current call) and its reused event buffer.
+  // visited in the current call), its reused event buffer, and the uids
+  // of the attempts charged (started or failed over) since its last call.
   long refresh_epoch_ = 0;
   std::vector<Event> finishes_;
+  std::vector<int> charged_;
+  // One per machine (real machines, then rack uplinks). A dirty machine is
+  // quiet when it was uncontended at its last refresh and still is: every
+  // grant ratio on it was and is 1.0, so no task's speed moves on its
+  // account, and the refresh logs the time instead of visiting its tasks.
+  struct RefreshLog {
+    static constexpr std::size_t kMinTrim = 64;
+    std::vector<SimTime> times;      // non-decreasing
+    std::size_t trim_at = kMinTrim;  // size at which trim_refresh_log runs
+    bool uncontended = true;         // at the machine's last refresh
+  };
+  std::vector<RefreshLog> refresh_logs_;
+  std::vector<SimTime> replay_;  // bank_progress's merge buffer
 
   // ---- scheduler-view state (DESIGN.md §8.3; naive_scheduler_view
   // bypasses it). Probes and group estimates are served from state each

@@ -64,18 +64,19 @@ std::vector<GroupView> Simulator::ContextImpl::imminent_groups() const {
       double eta = 0;
       bool imminent = true;
       for (int d : stage.deps) {
-        const StageState& dep = job.stages[static_cast<std::size_t>(d)];
+        StageState& dep = job.stages[static_cast<std::size_t>(d)];
         if (dep.done()) continue;
         if (dep.runnable > 0 || dep.running + dep.finished < dep.total()) {
           imminent = false;
           break;
         }
-        for (const auto& task : dep.tasks) {
+        for (auto& task : dep.tasks) {
           if (task.status != TaskStatus::kRunning) continue;
           if (task.speed <= 0 || task.placement.duration <= 0) {
             imminent = false;
             break;
           }
+          sim_.bank_progress(task);
           const double remaining =
               (1.0 - task.progress) * task.placement.duration / task.speed;
           eta = std::max(eta,

@@ -5,6 +5,7 @@
 // churn counters must reconcile with the kill.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "federation/federated_simulator.h"
@@ -99,6 +100,31 @@ TEST(FederationFailoverTest, CellKillLosesNoJobs) {
   // window); the survivor never churns at all.
   EXPECT_LE(fed.cells[0].churn.effective_capacity, 1.0);
   EXPECT_DOUBLE_EQ(fed.cells[1].churn.effective_capacity, 1.0);
+}
+
+// A kill's recovery time must stay finite under any valid max_time, the
+// largest double included, and the largest double is no kill time.
+TEST(FederationFailoverTest, CellKillUnderTheLargestMaxTime) {
+  const int kMachines = 10;
+  const sim::Workload w = spread_workload(30, kMachines);
+
+  FederationConfig fc = two_cell_config(kMachines);
+  fc.kills = {{0, 120.0}};
+  const FederatedResult bounded = simulate_federated(fc, w);
+
+  fc.base.max_time = std::numeric_limits<double>::max();
+  const FederatedResult fed = simulate_federated(fc, w);
+  EXPECT_TRUE(fed.completed);
+  EXPECT_EQ(fed.lost_jobs, 0);
+  EXPECT_GT(fed.reassigned_jobs, 0);
+  // Neither run reaches its max_time, so the two schedules agree.
+  EXPECT_EQ(fed.reassigned_jobs, bounded.reassigned_jobs);
+  EXPECT_EQ(fed.makespan, bounded.makespan);
+  EXPECT_EQ(fed.churn.machines_failed, kMachines / 2);
+  EXPECT_EQ(fed.churn.machines_recovered, 0);
+
+  fc.kills = {{0, std::numeric_limits<double>::max()}};
+  EXPECT_THROW(simulate_federated(fc, w), std::invalid_argument);
 }
 
 TEST(FederationFailoverTest, KillingEveryCellLosesTheBacklog) {
