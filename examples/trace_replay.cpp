@@ -1,12 +1,16 @@
 // Trace-driven simulation from the command line:
 //
-//   ./examples/trace_replay generate <out.trace> [jobs] [machines] [seed]
-//       Synthesizes a Facebook-like trace and writes it to a file.
-//   ./examples/trace_replay run <in.trace> <scheduler> [machines]
+//   ./examples/trace_replay generate <out.bin> [jobs] [machines] [seed]
+//       Synthesizes a Facebook-like trace and writes it, sorted by
+//       arrival, as a binary trace file (workload/trace_binary.h).
+//   ./examples/trace_replay run <in.bin> <scheduler> [machines]
 //       Replays a trace under one of: tetris, slot, drf, srtf, random.
 //
 // Together the two subcommands demonstrate the full trace pipeline the
 // evaluation uses: generate once, replay under every scheduler, diff.
+// A bad argument prints the usage line and exits 2; a file that cannot be
+// read or written, or a cluster the trace does not fit (a replica on a
+// machine it lacks), prints the error and exits 1.
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -17,11 +21,12 @@
 #include "sched/random_scheduler.h"
 #include "sched/slot_scheduler.h"
 #include "sched/srtf_scheduler.h"
+#include "sim/job_source.h"
 #include "sim/simulator.h"
 #include "util/table.h"
 #include "workload/facebook.h"
 #include "workload/profiles.h"
-#include "workload/trace_io.h"
+#include "workload/trace_binary.h"
 
 using namespace tetris;
 
@@ -30,8 +35,8 @@ namespace {
 int usage() {
   std::cerr
       << "usage:\n"
-         "  trace_replay generate <out.trace> [jobs] [machines] [seed]\n"
-         "  trace_replay run <in.trace> <tetris|slot|drf|srtf|random> "
+         "  trace_replay generate <out.bin> [jobs] [machines] [seed]\n"
+         "  trace_replay run <in.bin> <tetris|slot|drf|srtf|random> "
          "[machines]\n";
   return 2;
 }
@@ -41,14 +46,13 @@ int generate(int argc, char** argv) {
   workload::FacebookConfig cfg;
   cfg.num_jobs = argc > 3 ? std::atoi(argv[3]) : 80;
   cfg.num_machines = argc > 4 ? std::atoi(argv[4]) : 20;
+  if (cfg.num_jobs < 1 || cfg.num_machines < 1) return usage();
   cfg.seed = argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 7;
   cfg.task_scale = 0.5;
   cfg.arrival_window = 800;
-  const auto w = workload::make_facebook_workload(cfg);
-  if (!workload::write_trace_file(argv[2], w)) {
-    std::cerr << "cannot write " << argv[2] << "\n";
-    return 1;
-  }
+  // Facebook arrivals are unsorted; the trace file stores arrival order.
+  const auto w = sim::sorted_by_arrival(workload::make_facebook_workload(cfg));
+  workload::write_binary_trace_file(argv[2], w);
   std::cout << "wrote " << w.jobs.size() << " jobs / " << w.total_tasks()
             << " tasks to " << argv[2] << " (for a " << cfg.num_machines
             << "-machine cluster)\n";
@@ -66,18 +70,12 @@ std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& name) {
 
 int run(int argc, char** argv) {
   if (argc < 4) return usage();
-  sim::Workload w;
-  try {
-    w = workload::read_trace_file(argv[2]);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 1;
-  }
   auto scheduler = make_scheduler(argv[3]);
-  if (!scheduler) return usage();
-
   sim::SimConfig cfg;
   cfg.num_machines = argc > 4 ? std::atoi(argv[4]) : 20;
+  if (!scheduler || cfg.num_machines < 1) return usage();
+  const sim::Workload w = workload::read_binary_trace_file(argv[2]);
+
   cfg.machine_capacity = workload::facebook_machine();
   if (std::string(argv[3]) == "tetris") {
     cfg.tracker = sim::TrackerMode::kUsage;
@@ -107,7 +105,12 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  if (cmd == "generate") return generate(argc, argv);
-  if (cmd == "run") return run(argc, argv);
+  try {
+    if (cmd == "generate") return generate(argc, argv);
+    if (cmd == "run") return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "trace_replay: " << e.what() << "\n";
+    return 1;
+  }
   return usage();
 }

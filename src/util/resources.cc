@@ -103,24 +103,13 @@ double Resources::sum() const {
   return s;
 }
 
-double Resources::l2_norm() const { return std::sqrt(dot(*this)); }
-
 double Resources::max_component() const {
   return *std::max_element(v_.begin(), v_.end());
-}
-
-double Resources::min_component() const {
-  return *std::min_element(v_.begin(), v_.end());
 }
 
 bool Resources::is_zero(double eps) const {
   return std::all_of(v_.begin(), v_.end(),
                      [eps](double x) { return std::abs(x) <= eps; });
-}
-
-bool Resources::is_non_negative(double eps) const {
-  return std::all_of(v_.begin(), v_.end(),
-                     [eps](double x) { return x >= -eps; });
 }
 
 std::string Resources::to_string() const {

@@ -120,13 +120,9 @@ class Resources {
   // "resource consumption of a task ... sum across all the (normalized)
   // resource dimensions".
   double sum() const;
-  double l2_norm() const;
   double max_component() const;
-  double min_component() const;
 
   bool is_zero(double eps = 1e-12) const;
-  // True iff every component is >= 0 (within eps slack below zero).
-  bool is_non_negative(double eps = 1e-9) const;
 
   std::string to_string() const;
 

@@ -20,10 +20,4 @@ inline Resources deployment_machine() {
                          10 * kGbps, 10 * kGbps);
 }
 
-// A small machine for unit tests and examples.
-inline Resources small_machine() {
-  return Resources::full(4, 8 * kGB, 100 * kMB, 100 * kMB, 1 * kGbps,
-                         1 * kGbps);
-}
-
 }  // namespace tetris::workload

@@ -1,8 +1,8 @@
-// Binary workload trace format for the streaming engine (DESIGN.md §11).
-//
-// The text format in trace_io.h is line-oriented and must be parsed front
-// to back; fine for inspection, hopeless for a 10M-task trace. This
-// format is built for incremental consumption:
+// The workload trace file (DESIGN.md §11): the one on-disk form of a
+// sim::Workload. Small traces are read whole (read_binary_trace_file);
+// the streaming engine reads job by job (BinaryTraceReader), so a
+// 10M-task trace never has to fit in memory. The layout is built for
+// that incremental consumption:
 //
 //   file header:  magic "TTRB", u32 version, u64 job_count
 //   per job:      fixed 24-byte job header — f64 arrival, u64 task_count,
@@ -95,7 +95,7 @@ class BinaryTraceReader final : public sim::JobSource {
   double last_arrival_ = 0;
 };
 
-// Whole-workload conveniences (round-trip tests, small traces).
+// Whole-workload conveniences (examples/trace_replay, round-trip tests).
 void write_binary_trace_file(const std::string& path,
                              const sim::Workload& workload);
 sim::Workload read_binary_trace_file(const std::string& path);

@@ -4,18 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "analysis/metrics.h"
 #include "core/tetris_scheduler.h"
 #include "sched/drf_scheduler.h"
 #include "sched/slot_scheduler.h"
 #include "sched/upper_bound.h"
+#include "sim/job_source.h"
 #include "sim/simulator.h"
 #include "workload/facebook.h"
 #include "workload/profiles.h"
 #include "workload/suite.h"
-#include "workload/trace_io.h"
+#include "workload/trace_binary.h"
 
 namespace tetris {
 namespace {
@@ -164,9 +167,12 @@ TEST(EndToEnd, TetrisNeverOverAllocatesWithOracleEstimates) {
 }
 
 TEST(EndToEnd, TraceRoundTripReproducesResults) {
-  const auto w = test_workload();
-  const auto replayed =
-      workload::trace_from_string(workload::trace_to_string(w));
+  // The trace file stores jobs in arrival order.
+  const auto w = sim::sorted_by_arrival(test_workload());
+  const std::string path = ::testing::TempDir() + "end_to_end_round_trip.bin";
+  workload::write_binary_trace_file(path, w);
+  const auto replayed = workload::read_binary_trace_file(path);
+  std::remove(path.c_str());
   const auto a = run_tetris(test_cluster(), w);
   const auto b = run_tetris(test_cluster(), replayed);
   ASSERT_EQ(a.jobs.size(), b.jobs.size());

@@ -307,7 +307,19 @@ INSTANTIATE_TEST_SUITE_P(
                core::TetrisConfig t;
                t.future_lookahead = 15;
                return t;
-             }()}),
+             }()},
+        // Every row above runs on 10 machines. These run at one 64-bit
+        // word of machines, one past it and past two words, so that any
+        // per-machine state packed into words is held to the oracle
+        // across word boundaries.
+        Case{"SuiteWide64", Load::kSuite, 1, false, sim::TrackerMode::kUsage,
+             sim::EstimationMode::kOracle, {}, 250.0, 1024, 64},
+        Case{"FacebookWide65", Load::kFacebook, 1, false,
+             sim::TrackerMode::kUsage, sim::EstimationMode::kOracle, {}, 250.0,
+             1024, 65},
+        Case{"ConstrainedChurnWide130", Load::kConstrained, 1, true,
+             sim::TrackerMode::kUsage, sim::EstimationMode::kOracle, {}, 250.0,
+             1024, 130}),
     case_name);
 
 // Pass samples: backlog and placement counts are schedule-derived, so they

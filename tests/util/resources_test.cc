@@ -127,19 +127,7 @@ TEST(Resources, Norms) {
   Resources r;
   r[Resource::kCpu] = 3;
   r[Resource::kMem] = 4;
-  EXPECT_DOUBLE_EQ(r.l2_norm(), 5);
   EXPECT_DOUBLE_EQ(r.max_component(), 4);
-  EXPECT_DOUBLE_EQ(r.min_component(), 0);
-}
-
-TEST(Resources, IsNonNegative) {
-  EXPECT_TRUE(Resources::uniform(1).is_non_negative());
-  EXPECT_TRUE(Resources{}.is_non_negative());
-  Resources r;
-  r[Resource::kDiskRead] = -1;
-  EXPECT_FALSE(r.is_non_negative());
-  r[Resource::kDiskRead] = -1e-12;  // within slack
-  EXPECT_TRUE(r.is_non_negative());
 }
 
 TEST(Resources, StreamFormatNamesEveryDimension) {
