@@ -5,6 +5,10 @@
 // bench_results/ alongside the human-readable stdout tables.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -27,21 +31,37 @@
 namespace tetris::bench {
 
 // Simulation scale knobs, overridable from the command line as
-// "[jobs] [machines] [seed]" so the benches can be re-run bigger.
+// "[jobs] [machines] [seed]" so the benches can be re-run bigger. Each
+// number must parse whole; junk, or a job or machine count below 1,
+// prints the usage line and exits 2.
 struct Scale {
   int jobs = 120;
   int machines = 30;
   std::uint64_t seed = 1;
 
   static Scale from_args(int argc, char** argv, Scale def) {
+    const auto digit = [](char c) {
+      return std::isdigit(static_cast<unsigned char>(c)) != 0;
+    };
     Scale s = def;
     int pos = 0;
     for (int i = 1; i < argc; ++i) {
-      if (argv[i][0] == '-') continue;  // leftover flags (e.g. gbench's)
+      // Leftover flags (gbench's, --cells=, --trace=) are skipped; a
+      // negative number is junk, not a flag.
+      if (argv[i][0] == '-' && !digit(argv[i][1])) continue;
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long v = std::strtoull(argv[i], &end, 10);
+      const bool whole = digit(argv[i][0]) && *end == '\0' && errno == 0;
+      const bool count = whole && v >= 1 && v <= INT_MAX;
+      if (pos < 2 ? !count : !whole) {
+        std::cerr << "usage: " << argv[0] << " [jobs] [machines] [seed]\n";
+        std::exit(2);
+      }
       switch (pos++) {
-        case 0: s.jobs = std::atoi(argv[i]); break;
-        case 1: s.machines = std::atoi(argv[i]); break;
-        case 2: s.seed = std::strtoull(argv[i], nullptr, 10); break;
+        case 0: s.jobs = static_cast<int>(v); break;
+        case 1: s.machines = static_cast<int>(v); break;
+        case 2: s.seed = v; break;
         default: break;
       }
     }

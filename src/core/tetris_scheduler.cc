@@ -1,6 +1,7 @@
 #include "core/tetris_scheduler.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -29,6 +30,16 @@ bool admits(const TetrisConfig& config, const sim::SchedulerContext& ctx,
   if (config.only_cpu_mem) return sched::fits_cpu_mem(p.demand, avail);
   return sched::fits_all_local(p.demand, avail) &&
          sched::remote_legs_fit(ctx, p);
+}
+
+// A job's dominant share under this pass's own placements. Copy, then +=:
+// every caller gets the identical double eligible_set() sorts by.
+double adjusted_share(const sim::JobView& job, const Resources& extra,
+                      const Resources& cluster_capacity) {
+  sim::JobView v;  // job_share reads only current_alloc
+  v.current_alloc = job.current_alloc;
+  v.current_alloc += extra;
+  return sched::job_share(kFairness, v, cluster_capacity, /*slot_mem=*/0);
 }
 
 // Per machine, the (alignment, eta) claims of stages about to unblock.
@@ -80,6 +91,11 @@ struct TetrisScheduler::Pass {
     SimTime arrival;
     sim::JobId id;
     std::uint32_t idx;
+    bool operator<(const EligKey& y) const {
+      if (share != y.share) return share < y.share;
+      if (arrival != y.arrival) return arrival < y.arrival;
+      return id < y.id;
+    }
   };
   struct ImminentDemand {
     sim::GroupRef ref;
@@ -111,15 +127,13 @@ struct TetrisScheduler::Pass {
   std::vector<int> placed_from;
 
   // Eligibility. The oracle keeps the job-id set; the optimized scan a
-  // byte mask per job plus a per-job share cache: `jobs` is a pass-long
-  // snapshot and extra[i] moves only for the job a round places, so every
-  // other job's share is the same double at the next refresh.
+  // byte mask per job over the schedulable jobs' keys, which the pass's
+  // first placement sorts so that each placement moves one key (move_cut).
   std::unordered_set<sim::JobId> eligible;
   std::vector<unsigned char> eligible_job;
   std::size_t eligible_count = 0;  // the fairness cut each placement traces
   std::vector<EligKey> elig_keys;
-  std::vector<double> share_val;
-  std::vector<unsigned char> share_fresh;
+  bool keys_sorted = false;
 
   // Tiering. The optimized scan caches each row's tier and job index for
   // the pass and refreshes only the placed row; the oracle looks both up
@@ -128,12 +142,13 @@ struct TetrisScheduler::Pass {
   std::vector<int> tier_by_row;
   std::vector<std::uint32_t> row_job;
 
-  // Count of fresh-and-rejected cells per row. When it reaches
-  // num_machines a scan of the row would do nothing at all, so the
-  // optimized scan skips the row. On a saturated cluster most backlogged
-  // rows sit in this state, turning the per-round cost from
-  // O(groups * machines) into O(groups).
-  std::vector<int> row_rejected;
+  // Live bits: one per cell, ceil(M/64) words per row, set unless the
+  // cell is fresh and rejected. The optimized scan visits only set bits;
+  // a row whose words are all zero would do nothing at all, so the scan
+  // skips it. On a saturated cluster most backlogged rows sit in that
+  // state, so a round costs O(groups) plus the cells that can act.
+  std::size_t row_words = 0;
+  std::vector<std::uint64_t> live;
   // Future-demand hold-back: stages about to unblock, and the claims
   // they hold this round.
   std::vector<ImminentDemand> imminent;
@@ -149,6 +164,16 @@ struct TetrisScheduler::Pass {
   std::size_t cidx(std::size_t g, int m) const {
     return g * static_cast<std::size_t>(num_machines) +
            static_cast<std::size_t>(m);
+  }
+  static std::uint64_t bit(int m) { return std::uint64_t{1} << (m % 64); }
+  std::uint64_t& live_word(std::size_t g, int m) {
+    return live[g * row_words + static_cast<std::size_t>(m / 64)];
+  }
+  void set_live_row(std::size_t g) {
+    std::fill_n(live.begin() + static_cast<long>(g * row_words), row_words,
+                ~std::uint64_t{0});
+    if (num_machines % 64 != 0)
+      live[(g + 1) * row_words - 1] = bit(num_machines) - 1;
   }
 };
 
@@ -302,12 +327,8 @@ std::unordered_set<sim::JobId> TetrisScheduler::eligible_set(
     }
     const auto order = sched::furthest_queues_order(
         kFairness, counted, p.ctx.cluster_capacity(), /*slot_mem=*/0);
-    const auto cut = static_cast<std::size_t>(std::max(
-        1.0, std::ceil((1.0 - config_.fairness_knob) *
-                       static_cast<double>(order.size()))));
     std::unordered_set<int> eligible_queues(
-        order.begin(),
-        order.begin() + static_cast<long>(std::min(cut, order.size())));
+        order.begin(), order.begin() + static_cast<long>(cut(order.size())));
     for (const auto& j : schedulable) {
       if (eligible_queues.contains(j.queue)) out.insert(j.id);
     }
@@ -315,12 +336,17 @@ std::unordered_set<sim::JobId> TetrisScheduler::eligible_set(
   }
   const auto order = sched::furthest_from_share_order(
       kFairness, schedulable, p.ctx.cluster_capacity(), /*slot_mem=*/0);
-  const auto cut = static_cast<std::size_t>(std::max(
-      1.0, std::ceil((1.0 - config_.fairness_knob) *
-                     static_cast<double>(schedulable.size()))));
-  for (std::size_t k = 0; k < std::min(cut, order.size()); ++k)
+  for (std::size_t k = 0; k < cut(order.size()); ++k)
     out.insert(schedulable[order[k]].id);
   return out;
+}
+
+// The fairness knob's cut over n jobs (or queues): the first
+// ceil((1-f)·n) of them, at least one, at most n.
+std::size_t TetrisScheduler::cut(std::size_t n) const {
+  const double c = std::ceil((1.0 - config_.fairness_knob) *
+                             static_cast<double>(n));
+  return std::min(n, static_cast<std::size_t>(std::max(1.0, c)));
 }
 
 void TetrisScheduler::refresh_eligibility(Pass& p) const {
@@ -330,14 +356,11 @@ void TetrisScheduler::refresh_eligibility(Pass& p) const {
     return;
   }
   // The same cut, flat: an nth_element partition plus a byte-mask fill
-  // gives bit-identical answers to eligible_set() without the per-round
-  // JobView copies, the full sort, or the hash-set build. At 10K-task
-  // backlogs this runs once per placement round and was a top-three term
-  // in pass latency.
+  // gives bit-identical answers to eligible_set() without its JobView
+  // copies, full sort or hash-set build. Placements then move the cut one
+  // key at a time (move_cut).
   p.eligible_job.assign(p.jobs.size(), 0);
   p.eligible_count = 0;
-  p.share_val.resize(p.jobs.size());  // sized once per pass
-  p.share_fresh.resize(p.jobs.size(), 0);
   if (config_.fairness_knob > 0 && config_.fairness_over_queues) {
     // Queue granularity aggregates shares across jobs; it is rare and
     // off the hot path, so reuse the generic set computation and
@@ -356,39 +379,51 @@ void TetrisScheduler::refresh_eligibility(Pass& p) const {
     return;
   }
   p.elig_keys.clear();
-  sim::JobView share_scratch;  // job_share reads only current_alloc
   for (std::size_t i = 0; i < p.jobs.size(); ++i) {
     if (p.jobs[i].runnable_tasks - p.placed_from[i] <= 0) continue;
-    // Same arithmetic as eligible_set(): copy, then +=, so the share key
-    // is the identical double.
-    if (!p.share_fresh[i]) {
-      share_scratch.current_alloc = p.jobs[i].current_alloc;
-      share_scratch.current_alloc += p.extra[i];
-      p.share_val[i] =
-          sched::job_share(kFairness, share_scratch,
-                           p.ctx.cluster_capacity(), /*slot_mem=*/0);
-      p.share_fresh[i] = 1;
-    }
-    p.elig_keys.push_back({p.share_val[i], p.jobs[i].arrival, p.jobs[i].id,
-                           static_cast<std::uint32_t>(i)});
+    p.elig_keys.push_back(
+        {adjusted_share(p.jobs[i], p.extra[i], p.ctx.cluster_capacity()),
+         p.jobs[i].arrival, p.jobs[i].id, static_cast<std::uint32_t>(i)});
   }
-  const auto cut = static_cast<std::size_t>(std::max(
-      1.0, std::ceil((1.0 - config_.fairness_knob) *
-                     static_cast<double>(p.elig_keys.size()))));
-  const std::size_t take = std::min(cut, p.elig_keys.size());
-  if (take < p.elig_keys.size()) {
-    std::nth_element(p.elig_keys.begin(),
-                     p.elig_keys.begin() + static_cast<long>(take),
-                     p.elig_keys.end(),
-                     [](const Pass::EligKey& x, const Pass::EligKey& y) {
-                       if (x.share != y.share) return x.share < y.share;
-                       if (x.arrival != y.arrival)
-                         return x.arrival < y.arrival;
-                       return x.id < y.id;
-                     });
-  }
+  const std::size_t take = cut(p.elig_keys.size());
+  std::nth_element(p.elig_keys.begin(),
+                   p.elig_keys.begin() + static_cast<long>(take),
+                   p.elig_keys.end());
   for (std::size_t k = 0; k < take; ++k)
     p.eligible_job[p.elig_keys[k].idx] = 1;
+  p.eligible_count = take;
+}
+
+// A placement moves one key, the placed job's share, and may drop that
+// job from the schedulable set. With the keys sorted, the cut follows by
+// one erase and one insert. Any other job's rank moves by at most one, so
+// only the ranks from one below the lower of the old and new cut up to
+// the higher one can change sides, besides the moved job itself.
+void TetrisScheduler::move_cut(Pass& p, std::size_t ji) const {
+  auto& keys = p.elig_keys;
+  if (!p.keys_sorted) std::sort(keys.begin(), keys.end());
+  p.keys_sorted = true;
+  const auto it = std::find_if(keys.begin(), keys.end(), [&](const auto& k) {
+    return k.idx == ji;
+  });
+  if (it == keys.end()) return;  // not schedulable before, nor after
+  keys.erase(it);
+  std::size_t rank = keys.size();  // past every cut: no longer schedulable
+  if (p.jobs[ji].runnable_tasks - p.placed_from[ji] > 0) {
+    const Pass::EligKey key{
+        adjusted_share(p.jobs[ji], p.extra[ji], p.ctx.cluster_capacity()),
+        p.jobs[ji].arrival, p.jobs[ji].id, static_cast<std::uint32_t>(ji)};
+    const auto at = std::lower_bound(keys.begin(), keys.end(), key);
+    rank = static_cast<std::size_t>(at - keys.begin());
+    keys.insert(at, key);
+  }
+  const std::size_t before = p.eligible_count;
+  const std::size_t take = cut(keys.size());
+  p.eligible_job[ji] = rank < take;
+  const std::size_t hi = std::min(std::max(before, take) + 1, keys.size());
+  for (std::size_t k = std::max<std::size_t>(std::min(before, take), 1) - 1;
+       k < hi; ++k)
+    p.eligible_job[keys[k].idx] = k < take;
   p.eligible_count = take;
 }
 
@@ -408,7 +443,9 @@ void TetrisScheduler::prepare_scan(Pass& p) {
   std::fill_n(cell_fresh_.begin(), num_cells, 0);
   std::fill_n(cell_rejected_.begin(), num_cells, 0);
   std::fill_n(cell_sticky_.begin(), num_cells, 0);
-  p.row_rejected.assign(num_groups, 0);
+  p.row_words = (static_cast<std::size_t>(p.num_machines) + 63) / 64;
+  p.live.resize(num_groups * p.row_words);
+  for (std::size_t g = 0; g < num_groups; ++g) p.set_live_row(g);
 
   // Future-demand hold-back (§3.5 extension): demands of stages about to
   // unblock within the lookahead window. A tier-0 candidate loses a
@@ -501,10 +538,7 @@ void TetrisScheduler::scan_naive(Pass& p) {
       // A reserved machine only accepts the starved tier.
       if (m == p.reserved_machine && tier < 2) continue;
       const std::size_t ci = p.cidx(g, m);
-      if (!cell_fresh_[ci]) {
-        refresh_cell(p, g, m);
-        if (cell_rejected_[ci]) p.row_rejected[g]++;
-      }
+      if (!cell_fresh_[ci]) refresh_cell(p, g, m);
       if (!cell_rejected_[ci]) consider(p, g, m, tier, rem);
     }
   }
@@ -518,49 +552,54 @@ void TetrisScheduler::scan_naive(Pass& p) {
 //   * sticky rejection: a cell rejected for fit reasons stays rejected
 //     under lower availability, so a column invalidation need not
 //     re-evaluate it;
-//   * whole-row skip: a row whose cells are all fresh and rejected would
-//     do nothing at all.
+//   * live bits: a fresh and rejected cell would do nothing at all, so
+//     the walk visits only the row's set bits, in machine order, and
+//     skips a row with none.
 // None of the four changes which cells get scored, or in what order, so
 // the eps normalizer — and with it every placement — matches the naive
 // scan bit for bit. A stale cell that passes the cheap reject is
 // re-probed; when only its column moved, the stage's probe slot replays
 // the probe (DESIGN.md §8.3).
 void TetrisScheduler::scan_optimized(Pass& p) {
-  const int num_machines = p.num_machines;
+  const std::size_t words = p.row_words;
   for (std::size_t g = 0; g < p.groups.size(); ++g) {
     if (p.groups[g].runnable <= 0) continue;
     const int tier = p.tier_by_row[g];
     // Priority tiers bypass the fairness restriction (§3.5).
     if (tier == 0 && !p.eligible_job[p.row_job[g]]) continue;
     if (tier < p.best_tier) continue;
-    if (p.row_rejected[g] == num_machines) {
-      p.pc.row_skips += num_machines;
+    std::uint64_t* row = p.live.data() + g * words;
+    if (std::all_of(row, row + words, [](std::uint64_t w) { return w == 0; })) {
+      p.pc.row_skips += p.num_machines;
       continue;
     }
     const double rem =
         config_.srtf_weight > 0 ? p.jobs[p.row_job[g]].remaining_work : 0.0;
     const int reserved = tier < 2 ? p.reserved_machine : -1;
-    for (int m = 0; m < num_machines; ++m) {
-      if (m == reserved) continue;
-      const std::size_t ci = p.cidx(g, m);
-      if (!cell_fresh_[ci]) {
-        if (cell_rejected_[ci] && cell_sticky_[ci]) {
-          // Rejected by a fit test against availability that has only
-          // fallen since (or by a pass-constant condition): still rejected.
-          cell_fresh_[ci] = 1;
-          p.pc.sticky_rejects++;
-        } else {
-          refresh_cell(p, g, m);
-          // Every rejection of a refresh is pass-constant or monotone in
-          // availability, so it may stand until the row is invalidated.
-          cell_sticky_[ci] = cell_rejected_[ci];
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t todo = row[w];
+      if (reserved >= 0 && static_cast<std::size_t>(reserved / 64) == w)
+        todo &= ~Pass::bit(reserved);
+      for (; todo != 0; todo &= todo - 1) {
+        const int m = static_cast<int>(w * 64) + std::countr_zero(todo);
+        const std::size_t ci = p.cidx(g, m);
+        if (!cell_fresh_[ci]) {
+          if (cell_rejected_[ci] && cell_sticky_[ci]) {
+            // Rejected by a fit test against availability that has only
+            // fallen since (or by a pass-constant condition): still
+            // rejected.
+            cell_fresh_[ci] = 1;
+            p.pc.sticky_rejects++;
+          } else {
+            refresh_cell(p, g, m);
+            // Every rejection of a refresh is pass-constant or monotone in
+            // availability, so it may stand until the row is invalidated.
+            cell_sticky_[ci] = cell_rejected_[ci];
+          }
+          if (cell_rejected_[ci]) row[w] &= ~Pass::bit(m);
         }
-        if (cell_rejected_[ci]) p.row_rejected[g]++;
+        if (!cell_rejected_[ci]) consider(p, g, m, tier, rem);
       }
-      // Most visited cells are rejected; testing the flag here keeps the
-      // call off them (calling for every cell cost batch_heavy 40% of its
-      // p99 pass latency).
-      if (!cell_rejected_[ci]) consider(p, g, m, tier, rem);
     }
   }
 }
@@ -630,7 +669,7 @@ void TetrisScheduler::commit(Pass& p) {
   // column this cell does not share.
   if (!admits(config_, p.ctx, best.probe)) {
     cell_rejected_[best_ci] = 1;
-    p.row_rejected[g]++;
+    p.live_word(g, best.probe.machine) &= ~Pass::bit(best.probe.machine);
     return;
   }
   const sim::Probe placed = best.probe;
@@ -639,7 +678,7 @@ void TetrisScheduler::commit(Pass& p) {
     // availability-monotone rejection — leave sticky unset so the next
     // refresh re-probes, as naive does.
     cell_rejected_[best_ci] = 1;
-    p.row_rejected[g]++;
+    p.live_word(g, placed.machine) &= ~Pass::bit(placed.machine);
     return;
   }
   p.groups[g].runnable--;
@@ -667,12 +706,17 @@ void TetrisScheduler::commit(Pass& p) {
   p.extra[ji] += placed.demand;
   p.placed_from[ji]++;
   if (!p.naive) {
-    p.share_fresh[ji] = 0;  // its share key just moved
     // Only the placed row's tier can have moved (its last_placement_
     // stamp just did); the cached tiers of every other row stand.
     p.tier_by_row[g] = tier_of(p, p.groups[g]);
   }
-  if (config_.fairness_knob > 0) refresh_eligibility(p);
+  if (config_.fairness_knob > 0) {
+    if (p.naive || config_.fairness_over_queues) {
+      refresh_eligibility(p);
+    } else {
+      move_cut(p, ji);
+    }
+  }
 
   // Invalidate what the placement changed: the group's candidate task,
   // the host machine's availability, and the remote sources' budgets.
@@ -686,11 +730,10 @@ void TetrisScheduler::commit(Pass& p) {
     cell_rejected_[ci] = 0;
     cell_sticky_[ci] = 0;
   }
-  p.row_rejected[g] = 0;
+  p.set_live_row(g);
   const auto invalidate_column_cell = [&](std::size_t row, int m) {
-    const std::size_t ci = p.cidx(row, m);
-    if (cell_fresh_[ci] && cell_rejected_[ci]) p.row_rejected[row]--;
-    cell_fresh_[ci] = 0;
+    cell_fresh_[p.cidx(row, m)] = 0;
+    p.live_word(row, m) |= Pass::bit(m);
   };
   for (std::size_t row = 0; row < p.groups.size(); ++row) {
     invalidate_column_cell(row, placed.machine);
@@ -708,17 +751,14 @@ void TetrisScheduler::commit(Pass& p) {
 // nowhere. If the furthest-below one trails fair share badly, kill the
 // newest task of the most over-share job (one per pass).
 void TetrisScheduler::preempt(Pass& p) {
-  const auto adjusted_share = [&](std::size_t i) {
-    sim::JobView adjusted = p.jobs[i];
-    adjusted.current_alloc += p.extra[i];
-    return sched::job_share(kFairness, adjusted,
-                            p.ctx.cluster_capacity(), /*slot_mem=*/0);
+  const auto share_of = [&](std::size_t i) {
+    return adjusted_share(p.jobs[i], p.extra[i], p.ctx.cluster_capacity());
   };
   const sim::JobView* starving = nullptr;
   double min_share = 0;
   for (std::size_t i = 0; i < p.jobs.size(); ++i) {
     if (p.jobs[i].runnable_tasks - p.placed_from[i] <= 0) continue;
-    const double share = adjusted_share(i);
+    const double share = share_of(i);
     if (starving == nullptr || share < min_share) {
       starving = &p.jobs[i];
       min_share = share;
@@ -733,7 +773,7 @@ void TetrisScheduler::preempt(Pass& p) {
   double victim_share = fair;
   std::unordered_map<sim::JobId, double> shares;
   for (std::size_t i = 0; i < p.jobs.size(); ++i)
-    shares[p.jobs[i].id] = adjusted_share(i);
+    shares[p.jobs[i].id] = share_of(i);
   for (const auto& t : running) {
     if (t.job == starving->id) continue;
     const auto it = shares.find(t.job);

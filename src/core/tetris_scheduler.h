@@ -143,9 +143,13 @@ class TetrisScheduler final : public sim::Scheduler {
   // Tiering: starvation reservation and the per-row selection tiers.
   int tier_of(const Pass& p, const sim::GroupView& g) const;
   void assign_tiers(Pass& p) const;
-  // Eligibility: the fairness knob's cut over jobs with pending tasks.
+  // Eligibility: the fairness knob's cut over jobs with pending tasks,
+  // computed whole at pass start (and per placement by the oracle and
+  // the queue cut) or moved one job per placement (move_cut).
   std::unordered_set<sim::JobId> eligible_set(const Pass& p) const;
+  std::size_t cut(std::size_t n) const;
   void refresh_eligibility(Pass& p) const;
+  void move_cut(Pass& p, std::size_t ji) const;
   void prepare_scan(Pass& p);
   // Scan round: picks the round's best <group, machine> cell into `p`;
   // false when no candidate remains. The oracle's round is scan_naive;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "util/rng.h"
@@ -36,6 +37,21 @@ JobShape job_shape(const StreamGenConfig& config, long index) {
 }
 
 }  // namespace
+
+void validate(const StreamGenConfig& config) {
+  // Each check states the legal range positively, so NaN fails it too.
+  if (config.num_machines < 1)
+    throw std::invalid_argument("stream: num_machines must be >= 1");
+  if (config.tasks_per_job < 1)
+    throw std::invalid_argument("stream: tasks_per_job must be >= 1");
+  if (config.dfs_replication < 1)
+    throw std::invalid_argument("stream: dfs_replication must be >= 1");
+  if (!(0 <= config.arrival_spacing && std::isfinite(config.arrival_spacing)))
+    throw std::invalid_argument(
+        "stream: arrival_spacing must be finite and >= 0");
+  if (!(0 < config.task_seconds && std::isfinite(config.task_seconds)))
+    throw std::invalid_argument("stream: task_seconds must be finite and > 0");
+}
 
 long stream_job_tasks(const StreamGenConfig& config, long index) {
   const JobShape shape = job_shape(config, index);

@@ -37,6 +37,12 @@ struct StreamGenConfig {
   std::uint64_t seed = 42;
 };
 
+// Throws std::invalid_argument on a config the generator cannot honour:
+// num_machines, tasks_per_job or dfs_replication below 1, a negative or
+// non-finite arrival_spacing, or a non-positive or non-finite
+// task_seconds.
+void validate(const StreamGenConfig& config);
+
 // The number of tasks job `index` will carry, without building it; the
 // same draw make_stream_job() uses, so the two always agree.
 long stream_job_tasks(const StreamGenConfig& config, long index);
@@ -52,7 +58,9 @@ sim::JobSpec make_stream_job(const StreamGenConfig& config, long index);
 class SyntheticJobSource final : public sim::JobSource {
  public:
   explicit SyntheticJobSource(const StreamGenConfig& config)
-      : config_(config) {}
+      : config_(config) {
+    validate(config_);
+  }
 
   long total_jobs() const override { return config_.num_jobs; }
   // The admission gate peeks about once per simulated event, so the

@@ -926,5 +926,53 @@ TEST(TetrisHotPath, LiveHigherTierRowSkipsLaterLowerRows) {
   }
 }
 
+// The starvation reservation fences one machine from every tier below 2.
+// The optimized scan drops the reserved machine's bit from the word that
+// holds it, so a reserved machine past the first 64-bit word checks the
+// word index as well as the bit. Machine 66 of 70 has the most headroom
+// (so it is reserved while the starved group fits nowhere) and aligns
+// best with the tier-0 group, which fits on every machine: a mask in the
+// wrong word hands 66 to tier 0.
+TEST(TetrisHotPath, ReservedMachinePastTheFirstWord) {
+  constexpr int kMachines = 70;
+  constexpr int kReserved = 66;
+  struct Outcome {
+    std::vector<sim::Probe> placements;
+    long probes = 0;
+    long score_evals = 0;
+    long starved = 0;
+  };
+  const auto run = [](bool naive) {
+    const Resources cap = Resources::full(8, 8 * kGB, 100 * kMB, 100 * kMB,
+                                          125 * kMB, 125 * kMB);
+    test::FakeContext ctx(std::vector<Resources>(kMachines, cap));
+    for (int m = 0; m < kMachines; ++m)
+      ctx.set_available(m, m == kReserved ? cpu_mem(8, 8) : cpu_mem(4, 1));
+    auto& starved = ctx.add_group(0, 0, 1, cpu_mem(16, 1));  // fits nowhere
+    starved.view.longest_wait = 100;
+    ctx.add_group(1, 0, 4, cpu_mem(1, 0.25));
+    TetrisConfig tcfg = hot_path_config(naive);
+    tcfg.starvation_threshold = 5;
+    TetrisScheduler sched(tcfg);
+    sched.schedule(ctx);
+    return Outcome{ctx.placements, ctx.probe_count(),
+                   sched.perf().score_evals, sched.stats().starved_placements};
+  };
+  const Outcome oracle = run(/*naive=*/true);
+  const Outcome opt = run(/*naive=*/false);
+  ASSERT_EQ(oracle.placements.size(), 4u);
+  EXPECT_EQ(oracle.starved, 0);
+  ASSERT_EQ(opt.placements.size(), oracle.placements.size());
+  for (std::size_t i = 0; i < opt.placements.size(); ++i) {
+    EXPECT_EQ(opt.placements[i].group.job, 1) << i;
+    EXPECT_NE(opt.placements[i].machine, kReserved) << i;
+    EXPECT_EQ(opt.placements[i].machine, oracle.placements[i].machine) << i;
+    EXPECT_EQ(opt.placements[i].task_index, oracle.placements[i].task_index)
+        << i;
+  }
+  EXPECT_EQ(opt.probes, oracle.probes);
+  EXPECT_EQ(opt.score_evals, oracle.score_evals);
+}
+
 }  // namespace
 }  // namespace tetris::core

@@ -319,7 +319,37 @@ INSTANTIATE_TEST_SUITE_P(
              1024, 65},
         Case{"ConstrainedChurnWide130", Load::kConstrained, 1, true,
              sim::TrackerMode::kUsage, sim::EstimationMode::kOracle, {}, 250.0,
-             1024, 130}),
+             1024, 130},
+        // The starvation reservation fences one machine from tiers 0 and
+        // 1. Labeled machines and arrivals packed into 10 s make the
+        // reserved machine one past the first 64 (of 130) while tier-0
+        // rows want it, so masking its bit in the wrong word of a row
+        // moves this schedule.
+        Case{"ConstrainedStarvationWide130", Load::kConstrained, 1, false,
+             sim::TrackerMode::kUsage, sim::EstimationMode::kOracle,
+             [] {
+               core::TetrisConfig t;
+               t.starvation_threshold = 5;
+               return t;
+             }(),
+             10.0, 1024, 130},
+        // A per-job fairness cut at f = 0.5 and f = 0.9: most placements
+        // move the cut, which the optimized path follows one key at a
+        // time and the oracle recomputes whole.
+        Case{"FacebookFairness50", Load::kFacebook, 1, false,
+             sim::TrackerMode::kUsage, sim::EstimationMode::kOracle,
+             [] {
+               core::TetrisConfig t;
+               t.fairness_knob = 0.5;
+               return t;
+             }()},
+        Case{"SuiteFairness90", Load::kSuite, 1, false,
+             sim::TrackerMode::kUsage, sim::EstimationMode::kOracle,
+             [] {
+               core::TetrisConfig t;
+               t.fairness_knob = 0.9;
+               return t;
+             }()}),
     case_name);
 
 // Pass samples: backlog and placement counts are schedule-derived, so they

@@ -9,7 +9,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -184,6 +187,36 @@ TEST(TraceBinaryTest, StreamGeneratorRoundTripsThroughFile) {
   for (std::size_t i = 0; i < w.jobs.size(); ++i)
     expect_jobs_equal(w.jobs[i], back.jobs[i], static_cast<int>(i));
   std::remove(path.c_str());
+}
+
+// make_stream_job draws replicas modulo num_machines and loops over the
+// other counts, so a config out of range must be refused up front: by
+// validate() and by the source's constructor, which calls it.
+TEST(TraceBinaryTest, StreamGeneratorRejectsConfigsOutOfRange) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, void (*)(StreamGenConfig&)>>
+      bad = {
+          {"zero machines", [](StreamGenConfig& c) { c.num_machines = 0; }},
+          {"zero tasks", [](StreamGenConfig& c) { c.tasks_per_job = 0; }},
+          {"no replicas", [](StreamGenConfig& c) { c.dfs_replication = 0; }},
+          {"negative spacing",
+           [](StreamGenConfig& c) { c.arrival_spacing = -1; }},
+          {"inf spacing", [](StreamGenConfig& c) { c.arrival_spacing = kInf; }},
+          {"NaN spacing", [](StreamGenConfig& c) { c.arrival_spacing = kNaN; }},
+          {"zero duration", [](StreamGenConfig& c) { c.task_seconds = 0; }},
+          {"inf duration", [](StreamGenConfig& c) { c.task_seconds = kInf; }},
+          {"NaN duration", [](StreamGenConfig& c) { c.task_seconds = kNaN; }},
+      };
+  for (const auto& [what, mutate] : bad) {
+    StreamGenConfig gen;
+    mutate(gen);
+    EXPECT_THROW(validate(gen), std::invalid_argument) << what;
+    EXPECT_THROW(SyntheticJobSource{gen}, std::invalid_argument) << what;
+  }
+  StreamGenConfig edge;
+  edge.arrival_spacing = 0;  // every job at t = 0 is a legal stream
+  EXPECT_NO_THROW(validate(edge));
 }
 
 // The generator's peek() caches the head job's task count: however often

@@ -5,6 +5,8 @@
 // BinaryTraceReader consumer.
 //
 // Usage: make_stream_trace <out.bin> [jobs] [machines] [seed]
+// Jobs or machines below 1 print the usage line and exit 2; a file that
+// cannot be written exits 1.
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -14,19 +16,29 @@
 
 using namespace tetris;
 
+namespace {
+
+int usage() {
+  std::cerr << "usage: make_stream_trace <out.bin> [jobs] [machines] "
+               "[seed]\n";
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << "usage: make_stream_trace <out.bin> [jobs] [machines] "
-                 "[seed]\n";
-    return 2;
-  }
+  if (argc < 2) return usage();
   workload::StreamGenConfig gen;
   if (argc > 2) gen.num_jobs = std::atol(argv[2]);
   if (argc > 3) gen.num_machines = std::atoi(argv[3]);
+  if (gen.num_jobs < 1 || gen.num_machines < 1) return usage();
   if (argc > 4) gen.seed = std::strtoull(argv[4], nullptr, 10);
   gen.arrival_spacing = 1300.0 / (0.65 * 16.0 * gen.num_machines);
 
   try {
+    // make_stream_job trusts its config; the source's constructor checks
+    // it, so the direct calls below check it here.
+    workload::validate(gen);
     workload::BinaryTraceWriter writer(argv[1]);
     long tasks = 0;
     for (long i = 0; i < gen.num_jobs; ++i) {
