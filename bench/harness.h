@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdlib>
 #include <iostream>
@@ -22,6 +21,7 @@
 #include "sched/srtf_scheduler.h"
 #include "sched/upper_bound.h"
 #include "sim/simulator.h"
+#include "util/args.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "workload/facebook.h"
@@ -40,28 +40,24 @@ struct Scale {
   std::uint64_t seed = 1;
 
   static Scale from_args(int argc, char** argv, Scale def) {
-    const auto digit = [](char c) {
-      return std::isdigit(static_cast<unsigned char>(c)) != 0;
-    };
     Scale s = def;
     int pos = 0;
     for (int i = 1; i < argc; ++i) {
       // Leftover flags (gbench's, --cells=, --trace=) are skipped; a
       // negative number is junk, not a flag.
-      if (argv[i][0] == '-' && !digit(argv[i][1])) continue;
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long v = std::strtoull(argv[i], &end, 10);
-      const bool whole = digit(argv[i][0]) && *end == '\0' && errno == 0;
-      const bool count = whole && v >= 1 && v <= INT_MAX;
-      if (pos < 2 ? !count : !whole) {
+      if (argv[i][0] == '-' &&
+          !std::isdigit(static_cast<unsigned char>(argv[i][1])))
+        continue;
+      const auto v = pos < 2 ? util::parse_whole(argv[i], 1, INT_MAX)
+                             : util::parse_whole(argv[i]);
+      if (!v) {
         std::cerr << "usage: " << argv[0] << " [jobs] [machines] [seed]\n";
         std::exit(2);
       }
       switch (pos++) {
-        case 0: s.jobs = static_cast<int>(v); break;
-        case 1: s.machines = static_cast<int>(v); break;
-        case 2: s.seed = v; break;
+        case 0: s.jobs = static_cast<int>(*v); break;
+        case 1: s.machines = static_cast<int>(*v); break;
+        case 2: s.seed = *v; break;
         default: break;
       }
     }

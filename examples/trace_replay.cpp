@@ -8,10 +8,12 @@
 //
 // Together the two subcommands demonstrate the full trace pipeline the
 // evaluation uses: generate once, replay under every scheduler, diff.
-// A bad argument prints the usage line and exits 2; a file that cannot be
-// read or written, or a cluster the trace does not fit (a replica on a
-// machine it lacks), prints the error and exits 1.
-#include <cstdlib>
+// A bad argument (a count that is not a whole number of at least 1, a
+// seed that is not a whole number, an unknown scheduler) prints the usage
+// line and exits 2; a file that cannot be read or written, or a cluster
+// the trace does not fit (a replica on a machine it lacks), prints the
+// error and exits 1.
+#include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -23,6 +25,7 @@
 #include "sched/srtf_scheduler.h"
 #include "sim/job_source.h"
 #include "sim/simulator.h"
+#include "util/args.h"
 #include "util/table.h"
 #include "workload/facebook.h"
 #include "workload/profiles.h"
@@ -43,11 +46,15 @@ int usage() {
 
 int generate(int argc, char** argv) {
   if (argc < 3) return usage();
+  const auto jobs = argc > 3 ? util::parse_count(argv[3]) : 80;
+  const auto machines = argc > 4 ? util::parse_count(argv[4]) : 20;
+  const auto seed =
+      argc > 5 ? util::parse_whole(argv[5]) : std::uint64_t{7};
+  if (!jobs || !machines || !seed) return usage();
   workload::FacebookConfig cfg;
-  cfg.num_jobs = argc > 3 ? std::atoi(argv[3]) : 80;
-  cfg.num_machines = argc > 4 ? std::atoi(argv[4]) : 20;
-  if (cfg.num_jobs < 1 || cfg.num_machines < 1) return usage();
-  cfg.seed = argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 7;
+  cfg.num_jobs = *jobs;
+  cfg.num_machines = *machines;
+  cfg.seed = *seed;
   cfg.task_scale = 0.5;
   cfg.arrival_window = 800;
   // Facebook arrivals are unsorted; the trace file stores arrival order.
@@ -71,9 +78,10 @@ std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& name) {
 int run(int argc, char** argv) {
   if (argc < 4) return usage();
   auto scheduler = make_scheduler(argv[3]);
+  const auto machines = argc > 4 ? util::parse_count(argv[4]) : 20;
+  if (!scheduler || !machines) return usage();
   sim::SimConfig cfg;
-  cfg.num_machines = argc > 4 ? std::atoi(argv[4]) : 20;
-  if (!scheduler || cfg.num_machines < 1) return usage();
+  cfg.num_machines = *machines;
   const sim::Workload w = workload::read_binary_trace_file(argv[2]);
 
   cfg.machine_capacity = workload::facebook_machine();

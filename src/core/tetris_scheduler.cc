@@ -213,9 +213,10 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
 
 bool TetrisScheduler::begin_pass(Pass& p) const {
   p.tracer = p.ctx.tracer();
-  p.jobs = p.ctx.active_jobs();
+  // Groups first: a pass with nothing to place never builds the job views.
   p.groups = p.ctx.runnable_groups();
-  if (p.jobs.empty() || p.groups.empty()) return false;
+  if (p.groups.empty()) return false;
+  p.jobs = p.ctx.active_jobs();
   p.num_machines = p.ctx.num_machines();
   for (std::size_t i = 0; i < p.jobs.size(); ++i)
     p.job_index[p.jobs[i].id] = i;

@@ -10,9 +10,9 @@
 namespace tetris::sched {
 
 void DrfScheduler::schedule(sim::SchedulerContext& ctx) {
-  auto jobs = ctx.active_jobs();
   auto groups = ctx.runnable_groups();
-  if (jobs.empty() || groups.empty()) return;
+  if (groups.empty()) return;
+  auto jobs = ctx.active_jobs();
 
   std::unordered_map<sim::JobId, std::vector<std::size_t>> groups_of;
   for (std::size_t g = 0; g < groups.size(); ++g)

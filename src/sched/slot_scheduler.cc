@@ -11,9 +11,9 @@
 namespace tetris::sched {
 
 void SlotScheduler::schedule(sim::SchedulerContext& ctx) {
-  auto jobs = ctx.active_jobs();
   auto groups = ctx.runnable_groups();
-  if (jobs.empty() || groups.empty()) return;
+  if (groups.empty()) return;
+  auto jobs = ctx.active_jobs();
 
   // Runnable groups per job, in stage order.
   std::unordered_map<sim::JobId, std::vector<std::size_t>> groups_of;

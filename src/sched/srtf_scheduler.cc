@@ -9,9 +9,9 @@
 namespace tetris::sched {
 
 void SrtfScheduler::schedule(sim::SchedulerContext& ctx) {
-  auto jobs = ctx.active_jobs();
   auto groups = ctx.runnable_groups();
-  if (jobs.empty() || groups.empty()) return;
+  if (groups.empty()) return;
+  auto jobs = ctx.active_jobs();
 
   std::sort(jobs.begin(), jobs.end(), [](const auto& x, const auto& y) {
     if (x.remaining_work != y.remaining_work)

@@ -389,6 +389,7 @@ void Simulator::start_task(const Probe& probe) {
   task.status = TaskStatus::kRunning;
   task.host = probe.machine;
   task.start_time = now_;
+  newest_start_[static_cast<std::size_t>(probe.machine)] = now_;
   task.attempts++;
   task.placement = pd;
   task.progress = 0;

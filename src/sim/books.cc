@@ -146,8 +146,14 @@ Resources Simulator::tracker_available(MachineId m) const {
         .max_zero();
   }
   // Usage view: observed consumption plus a decaying ramp-up allowance for
-  // recently started tasks hosted here (§4.1).
+  // recently started tasks hosted here (§4.1). When even the newest start
+  // is out of the window, no hosted task earns one and the walk adds
+  // nothing; the naive view always walks.
   Resources used = machine.usage();
+  if (!config_.naive_scheduler_view &&
+      now_ - newest_start_[static_cast<std::size_t>(m)] >=
+          config_.ramp_up_window)
+    return (machine.capacity() - used).max_zero();
   for (const auto& [uid, demand] : machine.demands()) {
     const TaskState& t = task_at(uid);
     if (t.host != m) continue;  // remote leg, not a hosted task

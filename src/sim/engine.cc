@@ -142,6 +142,8 @@ void Simulator::init_cluster() {
   hosted_count_.assign(machines_.size(), 0);
   dirty_flags_.assign(machines_.size(), 0);
   refresh_logs_.assign(machines_.size(), RefreshLog{});
+  newest_start_.assign(machines_.size(),
+                       -std::numeric_limits<SimTime>::infinity());
 
   down_depth_.assign(static_cast<std::size_t>(num_real_machines_), 0);
   external_active_.assign(static_cast<std::size_t>(num_real_machines_),
@@ -367,7 +369,7 @@ SimResult Simulator::finalize() {
     result_.trace_log.scheduler = result_.scheduler_name;
     result_.trace_log.seed = config_.seed;
   }
-  return result_;
+  return std::move(result_);
 }
 
 // ---------------------------------------------------------------------------

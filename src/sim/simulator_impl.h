@@ -320,6 +320,10 @@ class Simulator {
   int num_real_machines_ = 0;
   std::vector<Resources> alloc_est_;  // scheduler-visible allocations
   std::vector<int> hosted_count_;
+  // The latest start_task time per machine (-inf before the first; uplinks
+  // host nothing). A value newer than any hosted start only costs the
+  // tracker a walk, so a finish or kill leaves it be.
+  std::vector<SimTime> newest_start_;
   Resources cluster_capacity_;
   Resources avg_capacity_;
   Resources max_capacity_;  // component-wise max over machines
@@ -430,8 +434,10 @@ class Simulator {
 class Simulator::ContextImpl final : public SchedulerContext {
  public:
   // The pass's availability view: one entry per machine (real machines,
-  // then rack uplinks), built here from every machine's tracker report
-  // and mutated only by place()/preempt() below.
+  // then rack uplinks), built from every machine's tracker report and
+  // mutated only by place()/preempt() below. It is built here when the
+  // backlog is non-empty or under naive_scheduler_view, otherwise on
+  // first use.
   explicit ContextImpl(Simulator& sim);
 
   SimTime now() const override { return sim_.now_; }
@@ -443,6 +449,7 @@ class Simulator::ContextImpl final : public SchedulerContext {
     return sim_.cluster_capacity_;
   }
   Resources available(MachineId m) const override {
+    if (avail_.empty()) build_avail();
     return avail_[static_cast<std::size_t>(m)];
   }
   int running_tasks_on(MachineId m) const override {
@@ -477,9 +484,11 @@ class Simulator::ContextImpl final : public SchedulerContext {
   // Representative estimated per-task demand for a stage (local view).
   void fill_group_estimates(JobState& job, int stage_index,
                             GroupView& view) const;
+  // Fills avail_ from every machine's tracker report; empty until then.
+  void build_avail() const;
 
   Simulator& sim_;
-  std::vector<Resources> avail_;
+  mutable std::vector<Resources> avail_;
 };
 
 }  // namespace tetris::sim

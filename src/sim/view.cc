@@ -14,6 +14,13 @@
 namespace tetris::sim {
 
 Simulator::ContextImpl::ContextImpl(Simulator& sim) : sim_(sim) {
+  // A pass with nothing to place mostly reads nothing: it builds on first
+  // use, before any book moves (DESIGN.md §8.3).
+  if (sim_.runnable_total_ > 0 || sim_.config_.naive_scheduler_view)
+    build_avail();
+}
+
+void Simulator::ContextImpl::build_avail() const {
   const std::size_t n = sim_.machines_.size();
   avail_.reserve(n);
   for (std::size_t m = 0; m < n; ++m)
@@ -22,6 +29,7 @@ Simulator::ContextImpl::ContextImpl(Simulator& sim) : sim_(sim) {
 }
 
 std::vector<GroupView> Simulator::ContextImpl::runnable_groups() const {
+  if (sim_.runnable_total_ == 0) return {};
   const bool naive = sim_.config_.naive_scheduler_view;
   std::vector<GroupView> out;
   for (auto& job : sim_.jobs_) {
@@ -274,6 +282,7 @@ bool Simulator::ContextImpl::place(const Probe& probe) {
   // constraint violations are impossible, not merely unlikely.
   if (!sim_.constraints_admit(probe.group, probe.machine)) return false;
 
+  if (avail_.empty()) build_avail();
   sim_.start_task(probe);
   ++placements;
 
@@ -317,6 +326,7 @@ bool Simulator::ContextImpl::preempt(int task_uid) {
   const auto est_local = task.est_local;
   const auto est_remote = task.est_remote;
   const MachineId host = task.host;
+  if (avail_.empty()) build_avail();
   sim_.complete_task(task_uid, /*failed=*/true, trace::KillReason::kPreempt);
   const auto refund = [&](MachineId m, const Resources& freed) {
     Resources& a = avail_[static_cast<std::size_t>(m)];

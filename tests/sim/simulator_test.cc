@@ -1,17 +1,21 @@
 // Integration tests of the discrete-event simulator: task lifecycle,
 // placement-dependent durations, contention and interference, barriers,
-// heartbeat batching, failure injection and the usage tracker's ramp-up
-// allowance.
+// heartbeat batching, failure injection, the usage tracker's ramp-up
+// allowance and the pass's availability view against the naive view.
 #include "sim/simulator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
+#include "core/tetris_scheduler.h"
 #include "federation/federated_simulator.h"
 #include "sim/placement.h"
 #include "util/units.h"
+#include "workload/facebook.h"
+#include "workload/profiles.h"
 
 namespace tetris::sim {
 namespace {
@@ -834,6 +838,171 @@ TEST(Simulator, ReExecutedAttemptRestartsItsRampClock) {
   EXPECT_EQ(restarted.available[Resource::kCpu],
             4.0 - (2.0 + 2.0 * (0.5 * (1.0 - 1.0 / 10.0))));
   EXPECT_EQ(restarted.available, ramped_available(cfg, restarted));
+}
+
+// ---------------------------------------------------------------------------
+// The pass's availability view. Outside naive_scheduler_view a pass with
+// an empty backlog builds it on first use, and the usage tracker skips the
+// ramp-up walk on a machine whose newest start is out of the window; the
+// naive view builds every pass at its start and always walks.
+
+// A Facebook mix on two racks of five, under the usage tracker: arrivals
+// spread over 600 s leave passes with and without a backlog, both inside
+// and outside the 10 s ramp-up windows of the tasks they host.
+SimConfig racked_usage_cluster() {
+  SimConfig cfg;
+  cfg.num_machines = 10;
+  cfg.machines_per_rack = 5;
+  cfg.machine_capacity = workload::facebook_machine();
+  cfg.tracker = TrackerMode::kUsage;
+  cfg.collect_pass_samples = true;
+  return cfg;
+}
+constexpr int kRackedMachines = 10 + 2;  // two rack uplinks
+
+Workload spread_facebook_mix() {
+  workload::FacebookConfig fc;
+  fc.num_jobs = 30;
+  fc.num_machines = 10;
+  fc.task_scale = 0.2;
+  fc.arrival_window = 600;
+  fc.seed = 5;
+  return workload::make_facebook_workload(fc);
+}
+
+void expect_same_tasks(const SimResult& naive, const SimResult& opt) {
+  ASSERT_EQ(naive.tasks.size(), opt.tasks.size());
+  for (std::size_t i = 0; i < naive.tasks.size(); ++i) {
+    EXPECT_EQ(naive.tasks[i].host, opt.tasks[i].host) << "task " << i;
+    EXPECT_EQ(naive.tasks[i].start, opt.tasks[i].start) << "task " << i;
+    EXPECT_EQ(naive.tasks[i].finish, opt.tasks[i].finish) << "task " << i;
+    EXPECT_EQ(naive.tasks[i].attempts, opt.tasks[i].attempts) << "task " << i;
+  }
+  EXPECT_EQ(naive.makespan, opt.makespan);
+}
+
+// Runs Tetris, then reads what the context reports for every machine,
+// rack uplinks included. Tetris reads nothing on a pass with an empty
+// backlog, so there this read is the one that builds the view. On the
+// first `preempts` such passes that have a running attempt, it first
+// preempts the newest attempt (preempt() must build before the books
+// move) and reads before Tetris places again.
+class AvailabilityRecorder final : public Scheduler {
+ public:
+  struct Pass {
+    SimTime now = 0;
+    bool young = false;  // some running attempt is inside its window
+    bool preempted = false;
+    std::vector<Resources> available;
+  };
+
+  explicit AvailabilityRecorder(int preempts = 0) : preempts_(preempts) {}
+  std::string name() const override { return "availability-recorder"; }
+  void schedule(SchedulerContext& ctx) override {
+    Pass pass;
+    pass.now = ctx.now();
+    const auto running = ctx.running_tasks();
+    for (const RunningTaskView& t : running)
+      pass.young = pass.young ||
+                   ctx.now() - t.started < SimConfig{}.ramp_up_window;
+    if (preempts_ > 0 && !running.empty() && ctx.runnable_groups().empty()) {
+      const auto newest = std::max_element(
+          running.begin(), running.end(), [](const auto& a, const auto& b) {
+            return a.started < b.started;
+          });
+      EXPECT_TRUE(ctx.preempt(newest->uid));
+      pass.preempted = true;
+      --preempts_;
+      read(ctx, pass);
+    }
+    tetris_.schedule(ctx);
+    if (!pass.preempted) read(ctx, pass);
+    passes.push_back(std::move(pass));
+  }
+
+  std::vector<Pass> passes;
+
+ private:
+  static void read(const SchedulerContext& ctx, Pass& pass) {
+    for (MachineId m = 0; m < kRackedMachines; ++m)
+      pass.available.push_back(ctx.available(m));
+  }
+
+  core::TetrisScheduler tetris_;
+  int preempts_;
+};
+
+void expect_same_availability(const AvailabilityRecorder& naive,
+                              const AvailabilityRecorder& opt) {
+  ASSERT_EQ(naive.passes.size(), opt.passes.size());
+  for (std::size_t i = 0; i < naive.passes.size(); ++i) {
+    ASSERT_EQ(naive.passes[i].now, opt.passes[i].now) << "pass " << i;
+    ASSERT_EQ(naive.passes[i].preempted, opt.passes[i].preempted)
+        << "pass " << i;
+    for (MachineId m = 0; m < kRackedMachines; ++m) {
+      const auto k = static_cast<std::size_t>(m);
+      EXPECT_EQ(naive.passes[i].available[k], opt.passes[i].available[k])
+          << "pass " << i << " at t=" << opt.passes[i].now << " machine "
+          << m;
+    }
+  }
+}
+
+TEST(Simulator, AvailabilityOnEveryPassMatchesNaiveView) {
+  SimConfig cfg = racked_usage_cluster();
+  const Workload w = spread_facebook_mix();
+  AvailabilityRecorder naive, opt;
+  cfg.naive_scheduler_view = true;
+  const SimResult rn = simulate(cfg, w, naive);
+  cfg.naive_scheduler_view = false;
+  const SimResult ro = simulate(cfg, w, opt);
+  ASSERT_TRUE(ro.completed);
+  expect_same_tasks(rn, ro);
+  expect_same_availability(naive, opt);
+
+  // Every kind of pass occurs: with and without a backlog, each with and
+  // without a young attempt somewhere.
+  ASSERT_EQ(ro.pass_samples.size(), opt.passes.size());
+  int kinds[2][2] = {};
+  for (std::size_t i = 0; i < opt.passes.size(); ++i)
+    kinds[ro.pass_samples[i].backlog > 0][opt.passes[i].young]++;
+  for (int busy = 0; busy < 2; ++busy) {
+    for (int young = 0; young < 2; ++young)
+      EXPECT_GT(kinds[busy][young], 0) << "busy " << busy << " young "
+                                       << young;
+  }
+}
+
+TEST(Simulator, PreemptOnAnEmptyPassMatchesNaiveView) {
+  SimConfig cfg = racked_usage_cluster();
+  const Workload w = spread_facebook_mix();
+  AvailabilityRecorder naive(/*preempts=*/8), opt(/*preempts=*/8);
+  cfg.naive_scheduler_view = true;
+  const SimResult rn = simulate(cfg, w, naive);
+  cfg.naive_scheduler_view = false;
+  const SimResult ro = simulate(cfg, w, opt);
+  ASSERT_TRUE(ro.completed);
+  const auto preempted = std::count_if(
+      opt.passes.begin(), opt.passes.end(),
+      [](const AvailabilityRecorder::Pass& p) { return p.preempted; });
+  EXPECT_EQ(preempted, 8);
+  expect_same_tasks(rn, ro);
+  expect_same_availability(naive, opt);
+}
+
+TEST(Simulator, OnlyPassesWithABacklogBuildAvailability) {
+  // Tetris reads no availability on an empty pass, so every build is the
+  // constructor's, over every machine and uplink.
+  const SimConfig cfg = racked_usage_cluster();
+  core::TetrisScheduler tetris;
+  const SimResult r = simulate(cfg, spread_facebook_mix(), tetris);
+  ASSERT_TRUE(r.completed);
+  const auto busy = std::count_if(
+      r.pass_samples.begin(), r.pass_samples.end(),
+      [](const PassSample& p) { return p.backlog > 0; });
+  ASSERT_GT(busy, 0);
+  ASSERT_LT(busy, static_cast<long>(r.pass_samples.size()));
+  EXPECT_EQ(r.perf.avail_recomputes, busy * kRackedMachines);
 }
 
 }  // namespace

@@ -5,12 +5,13 @@
 // BinaryTraceReader consumer.
 //
 // Usage: make_stream_trace <out.bin> [jobs] [machines] [seed]
-// Jobs or machines below 1 print the usage line and exit 2; a file that
-// cannot be written exits 1.
-#include <cstdlib>
+// Jobs or machines that are not a whole number of at least 1, or a seed
+// that is not a whole number, print the usage line and exit 2; a file
+// that cannot be written exits 1.
 #include <iostream>
 #include <string>
 
+#include "util/args.h"
 #include "workload/stream_gen.h"
 #include "workload/trace_binary.h"
 
@@ -29,10 +30,14 @@ int usage() {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   workload::StreamGenConfig gen;
-  if (argc > 2) gen.num_jobs = std::atol(argv[2]);
-  if (argc > 3) gen.num_machines = std::atoi(argv[3]);
-  if (gen.num_jobs < 1 || gen.num_machines < 1) return usage();
-  if (argc > 4) gen.seed = std::strtoull(argv[4], nullptr, 10);
+  const auto jobs = argc > 2 ? util::parse_count(argv[2]) : gen.num_jobs;
+  const auto machines =
+      argc > 3 ? util::parse_count(argv[3]) : gen.num_machines;
+  const auto seed = argc > 4 ? util::parse_whole(argv[4]) : gen.seed;
+  if (!jobs || !machines || !seed) return usage();
+  gen.num_jobs = *jobs;
+  gen.num_machines = *machines;
+  gen.seed = *seed;
   gen.arrival_spacing = 1300.0 / (0.65 * 16.0 * gen.num_machines);
 
   try {
